@@ -26,8 +26,7 @@ import pytest
 
 from repro.harness import ArtifactCache, ExperimentConfig, ExperimentContext
 from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    chunk_checkpoints,
-                                    classify_windows_parallel)
+                                    chunk_checkpoints, window_chunk_task)
 from repro.harness.store import ResultStore
 
 #: One small benchmark keeps this a guard, not a soak test.
@@ -169,19 +168,27 @@ def test_checkpoint_restore_beats_prefix_replay():
                           chunk_bounds(len(records), jobs),
                           cache=cache, ctx=ctx, jobs=jobs)
 
+        bounds = chunk_bounds(len(records), jobs)
+
+        def fan_out(checkpoints=None):
+            fresh = [r.fresh_copy() for r in records]
+            tasks = [(bench_cfg, ctx.hw, "mcf", None, fresh, lo, hi)
+                     for lo, hi in bounds]
+            if checkpoints is not None:
+                tasks = [task + (checkpoint,) for task, checkpoint
+                         in zip(tasks, checkpoints)]
+            chunks = ctx._executor.map(window_chunk_task, tasks)
+            return [window for chunk in chunks for window in chunk]
+
         started = time.perf_counter()
-        via_replay = classify_windows_parallel(
-            bench_cfg, ctx.hw, "mcf", None,
-            [r.fresh_copy() for r in records], ctx._executor,
-            use_checkpoints=False)
+        via_replay = fan_out()          # 7-tuple tasks: prefix replay
         replay_seconds = time.perf_counter() - started
 
         stats = CheckpointStats()
         started = time.perf_counter()
-        via_checkpoint = classify_windows_parallel(
-            bench_cfg, ctx.hw, "mcf", None,
-            [r.fresh_copy() for r in records], ctx._executor,
-            cache=cache, ctx=ctx, checkpoint_stats=stats)
+        via_checkpoint = fan_out(chunk_checkpoints(
+            bench_cfg, ctx.hw, "mcf", None, records, bounds,
+            cache=cache, ctx=ctx, stats=stats, jobs=jobs))
         checkpoint_seconds = time.perf_counter() - started
 
     assert via_checkpoint == via_replay          # same answer, faster
@@ -217,10 +224,15 @@ def test_supervisor_overhead_is_negligible():
     from repro.harness import Supervisor, SupervisorPolicy
 
     def plain_serial():
+        # the bare serial classifier: ExperimentContext itself always
+        # classifies under a supervisor
         ctx = ExperimentContext(_CFG, jobs=1)
+        campaign = ctx.build_campaign("mcf")
         started = time.perf_counter()
-        ctx.campaign("mcf")
-        ctx.coverage("mcf", "faulthound")
+        characterization = campaign.characterize()
+        campaign.run_coverage(
+            "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+            characterization)
         return time.perf_counter() - started
 
     def supervised_serial(run_root):

@@ -13,21 +13,10 @@ Subcommands
     Runs under the resilient supervisor by default (retries, watchdog
     timeouts, poison-window quarantine — see docs/robustness.md); with
     ``--run-dir D`` progress is journaled crash-safely into ``D``.
-    With ``--fabric DIR`` chunks are leased to the worker agents
-    registered under DIR instead of a local pool, with identical
-    results (see docs/distributed.md).
-``repro resume RUN_DIR [--fabric DIR]``
+``repro resume RUN_DIR``
     Finish an interrupted ``repro campaign --run-dir RUN_DIR``: only
     the chunks missing from the journal are re-run, and the final
     aggregates are bit-for-bit those of an uninterrupted run.
-    ``--fabric`` re-attaches the resume to a distributed fabric;
-    without it the resume runs locally — either way converges to the
-    same bytes.
-``repro agent {start,stop,list}``
-    Worker agents for the distributed campaign fabric: ``start`` runs
-    a daemon that registers under ``--fabric DIR`` and executes leased
-    chunks; ``list`` shows every registered agent and its health;
-    ``stop`` shuts agents down (socket first, SIGTERM fallback).
 ``repro cache {verify,stats,clear}``
     Artifact-cache maintenance; ``verify`` sweeps every entry and
     quarantines unreadable pickles.
@@ -54,18 +43,11 @@ Subcommands
     Compile a declarative campaign spec (sweep axes over defaults)
     into its explicit, content-addressed ``.run.json`` task list
     (see docs/serving.md).
-``repro serve DIR [--jobs N] [--max-active K]``
-    Long-lived campaign job server over DIR: adopts submissions from
-    ``DIR/queue/``, runs them by priority as one-shot-equivalent
-    ``repro campaign`` subprocesses with job-scoped run dirs, and
-    answers a unix-socket control plane (status/cancel/resume).
-``repro submit SPEC --serve-dir DIR [--priority P] [--wait]``
-    Queue a campaign spec (``.src.json`` compiled on the fly) for the
-    server; with ``--wait``, block and exit with the job's one-shot-
-    parity exit code.
-``repro jobs {list,status,cancel,resume} DIR [JOB]``
-    Inspect and steer submitted jobs, live via the server socket or
-    offline from the serve directory.
+``repro sweep SPEC RUN_DIR``
+    Run every task of a campaign spec (``.src.json`` compiled on the
+    fly, or a ``.run.json``) in order, each exactly as its one-shot
+    ``repro campaign`` journaled into ``RUN_DIR/<task key>``; rerunning
+    the same command after a crash resumes every task from its journal.
 
 Observability: ``--emit-events PATH`` streams a structured JSONL event
 log (spans, cache traffic, fault audit trail) from any campaign/figure
@@ -166,15 +148,6 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chunk-windows", type=int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
-    sub.add_argument("--no-supervise", action="store_true",
-                     help="bypass the resilient supervisor and use the "
-                          "bare dispatcher (no retries, no journal)")
-    sub.add_argument("--fabric", metavar="DIR", default=None,
-                     help="dispatch chunks to the worker agents "
-                          "registered under this fabric directory "
-                          "(start them with `repro agent start "
-                          "--fabric DIR`); results are bit-for-bit "
-                          "identical to local execution")
 
 
 def _make_context(cfg: ExperimentConfig, args, events=None,
@@ -265,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the original worker count")
     resume.add_argument("--emit-events", metavar="PATH", default=None,
                         help="write this resume's event log to PATH")
-    resume.add_argument("--fabric", metavar="DIR", default=None,
-                        help="re-attach the resume to a distributed "
-                             "fabric (default: run locally; results "
-                             "are identical either way)")
 
     cache_cmd = sub.add_parser("cache", help="artifact cache maintenance")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command",
@@ -369,101 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="where to write the run spec "
                                   "(default: sibling .run.json)")
 
-    serve = sub.add_parser(
-        "serve", help="long-lived campaign job server: adopts specs "
-                      "from DIR/queue/, runs them by priority with "
-                      "one-shot CLI parity")
-    serve.add_argument("serve_dir", metavar="DIR",
-                       help="serve directory (queue, job state, logs)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="total worker budget shared across active "
-                            "jobs (default: each task decides)")
-    serve.add_argument("--max-active", type=_positive_int, default=1,
-                       help="jobs running concurrently (default 1)")
-    serve.add_argument("--poll-interval", type=float, default=0.25,
-                       help="queue/subprocess poll cadence in seconds")
-    serve.add_argument("--max-jobs", type=int, default=None,
-                       help="exit after N jobs reach a terminal state "
-                            "(CI/test knob; default: serve forever)")
-    serve.add_argument("--idle-exit", type=float, default=None,
-                       metavar="SECONDS",
-                       help="exit after the queue has been empty this "
-                            "long (CI/test knob)")
-    serve.add_argument("--no-events", action="store_true",
-                       help="skip the server-events.jsonl lifecycle log")
-
-    submit = sub.add_parser(
-        "submit", help="queue a campaign spec (.src.json is compiled "
-                       "on the fly) for a `repro serve` server")
-    submit.add_argument("spec", help=".src.json or .run.json spec path")
-    submit.add_argument("--serve-dir", required=True, metavar="DIR",
-                        help="the server's serve directory")
-    submit.add_argument("--priority", type=int, default=None,
-                        help="override the spec's priority "
-                             "(higher runs first)")
-    submit.add_argument("--name", default=None,
-                        help="override the spec's job name")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and exit "
-                             "with its one-shot-parity exit code")
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="give up --wait after this many seconds")
-
-    jobs_cmd = sub.add_parser(
-        "jobs", help="inspect and steer jobs submitted to a server")
-    jobs_sub = jobs_cmd.add_subparsers(dest="jobs_command", required=True)
-    jobs_list = jobs_sub.add_parser("list", help="every known job")
-    jobs_list.add_argument("serve_dir", metavar="DIR")
-    jobs_list.add_argument("--json", action="store_true", dest="as_json",
-                           help="machine-readable summaries")
-    jobs_status = jobs_sub.add_parser(
-        "status", help="one job's document, plus live progress when "
-                       "the server is up and the job is running")
-    jobs_cancel = jobs_sub.add_parser(
-        "cancel", help="stop a running job (graceful supervisor drain) "
-                       "or drop a queued one")
-    jobs_resume = jobs_sub.add_parser(
-        "resume", help="requeue a failed/cancelled/interrupted job; "
-                       "settled tasks are kept, the rest re-run as "
-                       "journal resumes")
-    for sub_cmd in (jobs_status, jobs_cancel, jobs_resume):
-        sub_cmd.add_argument("serve_dir", metavar="DIR")
-        sub_cmd.add_argument("job_id", metavar="JOB")
-
-    agent_cmd = sub.add_parser(
-        "agent", help="worker agents for the distributed campaign "
-                      "fabric (see docs/distributed.md)")
-    agent_sub = agent_cmd.add_subparsers(dest="agent_command",
-                                         required=True)
-    agent_start = agent_sub.add_parser(
-        "start", help="run a worker agent daemon: registers under the "
-                      "fabric directory and executes leased chunks "
-                      "until stopped")
-    agent_start.add_argument("--fabric", required=True, metavar="DIR",
-                             help="fabric directory shared with the "
-                                  "campaign (registry + chunk store)")
-    agent_start.add_argument("--name", default=None,
-                             help="agent name (default: agent-<pid>)")
-    agent_start.add_argument("--slots", type=_positive_int, default=1,
-                             help="concurrent chunk leases this agent "
-                                  "accepts (default 1)")
-    agent_start.add_argument("--idle-exit", type=float, default=None,
-                             metavar="SECONDS",
-                             help="exit after this long without a "
-                                  "running chunk (CI/test knob)")
-    agent_list = agent_sub.add_parser(
-        "list", help="every agent registered under a fabric directory "
-                     "and its health (live/unreachable/dead)")
-    agent_list.add_argument("--fabric", required=True, metavar="DIR")
-    agent_list.add_argument("--json", action="store_true",
-                            dest="as_json",
-                            help="machine-readable agent rows")
-    agent_stop = agent_sub.add_parser(
-        "stop", help="shut down agents (socket shutdown verb, SIGTERM "
-                     "fallback) and sweep dead registry records")
-    agent_stop.add_argument("--fabric", required=True, metavar="DIR")
-    agent_stop.add_argument("names", nargs="*", metavar="NAME",
-                            help="agents to stop (default: all)")
+    sweep = sub.add_parser(
+        "sweep", help="run a campaign spec's tasks in order, each as its "
+                      "one-shot `repro campaign`, resumable from "
+                      "RUN_DIR")
+    sweep.add_argument("spec", help=".src.json or .run.json spec path")
+    sweep.add_argument("run_dir", help="directory holding one journaled "
+                                       "run dir per task")
 
     validate = sub.add_parser(
         "validate", help="measure a workload profile's achieved character")
@@ -597,35 +478,20 @@ def _cmd_campaign(args) -> int:
     from .harness.supervisor import (CampaignAborted, EXIT_ABORTED,
                                      Supervisor, SupervisorPolicy)
     cfg = _campaign_config(args)
-    fabric = getattr(args, "fabric", None)
-    if fabric and getattr(args, "no_supervise", False):
-        print("error: --fabric requires the supervisor "
-              "(drop --no-supervise)", file=sys.stderr)
-        return 1
     if args.run_dir and not getattr(args, "emit_events", None):
         # a journaled campaign defaults its event log into the run dir
         # so `repro top/status/tail` have something to follow; stderr
         # only — stdout stays byte-identical for the equivalence checks
         args.emit_events = str(pathlib.Path(args.run_dir) / "events.jsonl")
         print(f"events: {args.emit_events}", file=sys.stderr)
-    supervisor = None
-    if not getattr(args, "no_supervise", False):
-        policy = SupervisorPolicy(max_retries=args.max_retries,
-                                  chunk_timeout=args.chunk_timeout,
-                                  chunk_windows=args.chunk_windows)
-        executor = None
-        if fabric:
-            from .harness.executor import RemoteChunkExecutor
-            executor = RemoteChunkExecutor(fabric)
-        if args.run_dir:   # before the journal exists: a run dir with a
-            _save_campaign_args(args)   # journal is always resumable
-        supervisor = Supervisor(policy, run_dir=args.run_dir,
-                                executor=executor)
+    policy = SupervisorPolicy(max_retries=args.max_retries,
+                              chunk_timeout=args.chunk_timeout,
+                              chunk_windows=args.chunk_windows)
+    if args.run_dir:       # before the journal exists: a run dir with a
+        _save_campaign_args(args)       # journal is always resumable
+    supervisor = Supervisor(policy, run_dir=args.run_dir)
     try:
         with _session(cfg, args, supervisor=supervisor) as ctx:
-            if supervisor is None:
-                _print_campaign(ctx, args)
-                return 0
             with supervisor.graceful():
                 _print_campaign(ctx, args)
             _print_quarantine(supervisor)
@@ -634,8 +500,7 @@ def _cmd_campaign(args) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
     finally:
-        if supervisor is not None:
-            supervisor.close()
+        supervisor.close()
 
 
 def _print_campaign(ctx: ExperimentContext, args) -> None:
@@ -691,13 +556,10 @@ def _cmd_resume(args) -> int:
         jobs=args.jobs if args.jobs is not None else saved.get("jobs"),
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,
-        run_dir=str(run_dir), no_supervise=False,
+        run_dir=str(run_dir),
         max_retries=int(saved.get("max_retries", 3)),
         chunk_timeout=saved.get("chunk_timeout"),
-        chunk_windows=int(saved.get("chunk_windows", 8)),
-        # the fabric is an execution venue, not campaign identity —
-        # campaign.json never records it, the resume flag decides
-        fabric=getattr(args, "fabric", None))
+        chunk_windows=int(saved.get("chunk_windows", 8)))
     return _cmd_campaign(namespace)
 
 
@@ -727,7 +589,8 @@ def _cmd_figure(args) -> int:
         result = _FIGURES[args.which](ctx)
         print(result["text"])
         print(ctx.metrics.summary(), file=sys.stderr)
-    return 0
+        _print_quarantine(ctx.supervisor)
+        return ctx.supervisor.exit_code
 
 
 def _cmd_report(args) -> int:
@@ -929,99 +792,36 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from .harness.server import JobServer
-    server = JobServer(args.serve_dir, jobs=args.jobs,
-                       max_active=args.max_active,
-                       poll_interval=args.poll_interval,
-                       max_jobs=args.max_jobs, idle_exit=args.idle_exit,
-                       log_events=not args.no_events)
-    return server.run()
-
-
-def _job_exit_code(doc) -> int:
-    """One-shot CLI exit-code parity for a finished job: complete -> 0,
-    quarantined windows -> 3, a failed task -> its own exit code,
-    cancelled/interrupted -> the supervisor's aborted code."""
-    state = doc.get("state")
-    if state == "complete":
-        return 0
-    if state == "complete-with-quarantine":
-        return 3
-    if state == "failed":
-        for task in doc.get("tasks", []):
-            code = task.get("exit_code")
-            if code not in (None, 0, 3):
-                return int(code)
-        return 1
-    return 4
-
-
-def _cmd_submit(args) -> int:
-    from .harness.client import ServeClient
-    client = ServeClient(args.serve_dir)
-    job_id = client.submit(args.spec, priority=args.priority,
-                           name=args.name)
-    print(job_id)
-    if not client.server_alive():
-        print("note: no server is running — the job is queued and runs "
-              "on the next `repro serve`", file=sys.stderr)
-    if not args.wait:
-        return 0
-    doc = client.wait(job_id, timeout=args.timeout)
-    print(f"job {job_id}: {doc.get('state')}", file=sys.stderr)
-    return _job_exit_code(doc)
-
-
-def _cmd_jobs(args) -> int:
-    from .harness.client import ServeClient
-    client = ServeClient(args.serve_dir)
-    if args.jobs_command == "list":
-        jobs = client.list()
-        if args.as_json:
-            print(json.dumps(jobs, indent=2, sort_keys=True))
-        else:
-            print(f"{'job':44s} {'state':26s} {'prio':>4s} "
-                  f"{'tasks':>7s}")
-            for job in jobs:
-                tasks = f"{job['settled']}/{job['tasks']}"
-                print(f"{str(job['id']):44s} {job['state']:26s} "
-                      f"{job['priority']:>4d} {tasks:>7s}")
-        return 0
-    if args.jobs_command == "status":
-        response = client.status(args.job_id)
-    elif args.jobs_command == "cancel":
-        response = client.cancel(args.job_id)
-    else:
-        response = client.resume(args.job_id)
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0 if response.get("ok") else 1
-
-
-def _cmd_agent(args) -> int:
-    from .harness.agent import AgentDaemon, list_agents, stop_agents
-    if args.agent_command == "start":
-        daemon = AgentDaemon(args.fabric, name=args.name,
-                             slots=args.slots, idle_exit=args.idle_exit)
-        return daemon.run()
-    if args.agent_command == "list":
-        rows = list_agents(args.fabric)
-        if args.as_json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        else:
-            print(f"{'agent':24s} {'state':12s} {'pid':>7s} "
-                  f"{'slots':>5s} {'busy':>4s} {'done':>5s}")
-            for row in rows:
-                print(f"{row['name']:24s} {row['state']:12s} "
-                      f"{row.get('pid', '-'):>7} "
-                      f"{row.get('slots', '-'):>5} "
-                      f"{row.get('busy', '-'):>4} "
-                      f"{row.get('completed', '-'):>5}")
-        return 0
-    outcomes = stop_agents(args.fabric, names=args.names or None)
-    for outcome in outcomes:
-        print(f"{outcome['name']}: {outcome['result']}")
-    return 0 if all(o["result"] != "unknown" for o in outcomes) else 1
+def _cmd_sweep(args) -> int:
+    """Run a spec's tasks in order, each as the one-shot ``repro
+    campaign`` its :func:`~repro.harness.spec.task_argv` spells out, so
+    stdout is the concatenation of the tasks' one-shot stdouts. Exit
+    code: the first failing task's, else 3 when any window was
+    quarantined, else 0. A drained (interrupted) task stops the sweep.
+    """
+    from .harness.spec import load_run, task_argv
+    from .harness.supervisor import (EXIT_ABORTED, EXIT_COMPLETE,
+                                     EXIT_QUARANTINE)
+    tasks = load_run(args.spec)["tasks"]
+    failed = None
+    quarantined = False
+    for number, task in enumerate(tasks, start=1):
+        print(f"sweep: task {number}/{len(tasks)} {task['benchmark']}/"
+              f"{task['scheme']} ({task['key']})", file=sys.stderr,
+              flush=True)
+        code = main(task_argv(task,
+                              run_dir=pathlib.Path(args.run_dir)
+                              / task["key"]))
+        sys.stdout.flush()
+        if code == EXIT_QUARANTINE:
+            quarantined = True
+        elif code != EXIT_COMPLETE and failed is None:
+            failed = code
+        if code == EXIT_ABORTED:
+            break
+    if failed is not None:
+        return failed
+    return EXIT_QUARANTINE if quarantined else EXIT_COMPLETE
 
 
 def _cmd_validate(args) -> int:
@@ -1034,7 +834,6 @@ def _cmd_validate(args) -> int:
 
 
 _COMMANDS = {
-    "agent": _cmd_agent,
     "list": _cmd_list,
     "run": _cmd_run,
     "bench": _cmd_bench,
@@ -1042,13 +841,11 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "compile": _cmd_compile,
     "figure": _cmd_figure,
-    "jobs": _cmd_jobs,
     "metrics": _cmd_metrics,
     "report": _cmd_report,
     "resume": _cmd_resume,
-    "serve": _cmd_serve,
     "status": _cmd_status,
-    "submit": _cmd_submit,
+    "sweep": _cmd_sweep,
     "tail": _cmd_tail,
     "top": _cmd_top,
     "validate": _cmd_validate,

@@ -1,14 +1,9 @@
 """Experiment harness: one entry point per paper table/figure."""
 
 from ..faults.campaign import ThroughputRecord
-from .agent import AgentDaemon, list_agents, stop_agents
 from .cache import ArtifactCache
 from .diff import (DiffOutcome, Divergence, FuzzCase, FuzzReport,
                    build_case, lockstep_diff, run_case, run_corpus)
-from .executor import (ChunkExecutor, LocalPoolExecutor,
-                       RemoteChunkExecutor, RemotePolicy,
-                       SerialChunkExecutor, fabric_store,
-                       read_agent_registry)
 from .experiment import (ExperimentConfig, ExperimentContext, FaultFreeRun,
                          SCHEMES, scheme_unit)
 from .parallel import ContextMetrics, ParallelExecutor
@@ -21,11 +16,9 @@ from .supervisor import (CampaignAborted, CampaignJournal, EXIT_ABORTED,
 from . import figures
 
 __all__ = [
-    "AgentDaemon",
     "ArtifactCache",
     "CampaignAborted",
     "CampaignJournal",
-    "ChunkExecutor",
     "ContextMetrics",
     "DiffOutcome",
     "Divergence",
@@ -37,14 +30,10 @@ __all__ = [
     "FaultFreeRun",
     "FuzzCase",
     "FuzzReport",
-    "LocalPoolExecutor",
     "ParallelExecutor",
     "PhaseReport",
     "QuarantineRecord",
-    "RemoteChunkExecutor",
-    "RemotePolicy",
     "SCHEMES",
-    "SerialChunkExecutor",
     "SpecError",
     "Supervisor",
     "SupervisorPolicy",
@@ -52,14 +41,10 @@ __all__ = [
     "build_case",
     "compile_file",
     "compile_spec",
-    "fabric_store",
-    "list_agents",
     "lockstep_diff",
     "load_run",
     "load_spec",
-    "read_agent_registry",
     "read_poisoned",
-    "stop_agents",
     "run_case",
     "run_corpus",
     "scheme_unit",

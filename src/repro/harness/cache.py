@@ -175,10 +175,10 @@ class ArtifactCache:
         The tmp file is flushed and fsync'd before ``os.replace`` so
         the rename never publishes an entry whose bytes are still in
         the page cache; on first create the parent directory is fsync'd
-        too so the *name* survives a crash (remote executors treat the
-        presence of a fabric-store entry as proof the work happened —
-        a lost entry after an acknowledged put would stall a lease
-        forever).
+        too so the *name* survives a crash (the supervisor journals a
+        chunk as done right after putting its results in the run dir's
+        chunk store — a lost entry would silently re-run the chunk on
+        resume).
         """
         path = self._path(kind, key)
         try:

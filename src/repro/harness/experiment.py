@@ -33,6 +33,7 @@ from ..workloads import PROFILES, build_smt_programs
 from .cache import ArtifactCache
 from . import parallel as _parallel
 from .parallel import ContextMetrics, ParallelExecutor
+from .supervisor import Supervisor
 
 # ----------------------------------------------------------------------
 # scheme registry
@@ -133,7 +134,11 @@ class ExperimentContext:
     an optional persistent :class:`~repro.harness.cache.ArtifactCache`;
     when given, fault-free runs, campaigns and coverage phases are
     reloaded from disk instead of recomputed (the key includes a
-    code-version salt, so stale entries are impossible).
+    code-version salt, so stale entries are impossible). Fault windows
+    are always classified by ``supervisor`` (a default
+    :class:`~repro.harness.supervisor.Supervisor` when none is given),
+    so a poison window is quarantined — and the phase left uncached —
+    rather than raised.
     """
 
     def __init__(self, cfg: ExperimentConfig | None = None,
@@ -155,13 +160,14 @@ class ExperimentContext:
         #: :class:`ContextMetrics` throughput record.
         self.metrics_registry = metrics if metrics is not None \
             else NULL_METRICS
-        #: Optional :class:`~repro.harness.supervisor.Supervisor`; when
-        #: given, campaign window fan-outs run under its retry/timeout/
-        #: quarantine/journal protection instead of the bare dispatcher.
-        self.supervisor = supervisor
-        if supervisor is not None:
-            supervisor.bind(jobs=self.jobs, events=self.events,
-                            metrics=self.metrics_registry)
+        #: The :class:`~repro.harness.supervisor.Supervisor` every
+        #: campaign window fan-out runs under (retry/timeout/quarantine,
+        #: plus a crash-safe journal when it has a run dir); a plain
+        #: one when the caller passes none.
+        self.supervisor = supervisor if supervisor is not None \
+            else Supervisor()
+        self.supervisor.bind(jobs=self.jobs, events=self.events,
+                             metrics=self.metrics_registry)
         if cache is not None and cache.events is NULL_LOG:
             cache.events = self.events
         if cache is not None and cache.metrics is NULL_METRICS:
@@ -348,31 +354,17 @@ class ExperimentContext:
                 cp_stats = _parallel.CheckpointStats()
                 sup_report = None
                 if not from_cache:
-                    if self.supervisor is not None:
-                        sup_report = self.supervisor.classify_windows(
-                            self.cfg, self.hw, benchmark, None,
-                            campaign.records, phase="characterize",
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        windows = sup_report.windows
-                        characterization = CampaignResult(
-                            benchmark, "baseline",
-                            [w.record for w in windows])
-                        characterization.characterization = windows
-                        characterization.quarantined = list(
-                            sup_report.quarantined)
-                    elif self.jobs > 1 and len(campaign.records) > 1:
-                        windows = _parallel.classify_windows_parallel(
-                            self.cfg, self.hw, benchmark, None,
-                            campaign.records, self._executor,
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        characterization = CampaignResult(
-                            benchmark, "baseline",
-                            [w.record for w in windows])
-                        characterization.characterization = windows
-                    else:
-                        characterization = campaign.characterize()
+                    sup_report = self.supervisor.classify_windows(
+                        self.cfg, self.hw, benchmark, None,
+                        campaign.records, phase="characterize",
+                        cache=self.cache, ctx=self,
+                        checkpoint_stats=cp_stats)
+                    characterization = CampaignResult(
+                        benchmark, "baseline",
+                        [w.record for w in sup_report.windows])
+                    characterization.characterization = sup_report.windows
+                    characterization.quarantined = list(
+                        sup_report.quarantined)
                     if not characterization.quarantined:
                         # never cache a partial (quarantine-reduced)
                         # phase in the shared artifact store
@@ -416,29 +408,14 @@ class ExperimentContext:
                     result.characterization = (
                         characterization.characterization)
                 else:
-                    sdc_records = Campaign.sdc_records(characterization)
-                    if self.supervisor is not None:
-                        sup_report = self.supervisor.classify_windows(
-                            self.cfg, self.hw, benchmark, scheme,
-                            sdc_records, phase="coverage",
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        result = campaign.collect_coverage(
-                            scheme, characterization, sup_report.windows)
-                        result.quarantined = list(sup_report.quarantined)
-                    elif self.jobs > 1 and len(sdc_records) > 1:
-                        windows = _parallel.classify_windows_parallel(
-                            self.cfg, self.hw, benchmark, scheme,
-                            sdc_records, self._executor,
-                            cache=self.cache, ctx=self,
-                            checkpoint_stats=cp_stats)
-                        result = campaign.collect_coverage(
-                            scheme, characterization, windows)
-                    else:
-                        result = campaign.run_coverage(
-                            scheme,
-                            lambda: self.make_core(benchmark, scheme),
-                            characterization)
+                    sup_report = self.supervisor.classify_windows(
+                        self.cfg, self.hw, benchmark, scheme,
+                        Campaign.sdc_records(characterization),
+                        phase="coverage", cache=self.cache, ctx=self,
+                        checkpoint_stats=cp_stats)
+                    result = campaign.collect_coverage(
+                        scheme, characterization, sup_report.windows)
+                    result.quarantined = list(sup_report.quarantined)
                     if not result.quarantined:
                         self._cache_put("coverage", result,
                                         benchmark=benchmark, scheme=scheme)
@@ -530,8 +507,8 @@ class ExperimentContext:
             def store_campaign(args: Tuple,
                                characterization: CampaignResult) -> None:
                 _, _, benchmark = args
-                self._cache_put("characterize", characterization,
-                                benchmark=benchmark)
+                self._store_prefetched("characterize", characterization,
+                                       benchmark=benchmark)
                 self._adopt_characterization(benchmark, characterization,
                                              from_cache=False)
 
@@ -556,8 +533,8 @@ class ExperimentContext:
 
         def store_coverage(args: Tuple, result: CampaignResult) -> None:
             _, _, benchmark, scheme, _ = args
-            self._cache_put("coverage", result, benchmark=benchmark,
-                            scheme=scheme)
+            self._store_prefetched("coverage", result, benchmark=benchmark,
+                                   scheme=scheme)
             self._adopt_coverage(benchmark, scheme, result,
                                  from_cache=False)
 
@@ -585,6 +562,16 @@ class ExperimentContext:
 
             fan_out("srt", _parallel.srt_task, todo, store_srt)
 
+    def _store_prefetched(self, phase: str, result: CampaignResult,
+                          **parts: Any) -> None:
+        """Cache a campaign phase a prefetch worker classified — unless
+        its worker quarantined windows: a partial phase is never cached,
+        and this context's supervisor reports the quarantine instead."""
+        if result.quarantined:
+            self.supervisor.adopt_quarantine(result.quarantined)
+        else:
+            self._cache_put(phase, result, **parts)
+
     def _adopt_characterization(self, benchmark: str,
                                 characterization: CampaignResult,
                                 from_cache: bool) -> None:
@@ -593,7 +580,8 @@ class ExperimentContext:
         characterization.throughput = ThroughputRecord(
             phase="characterize",
             windows=len(characterization.characterization),
-            jobs=self.jobs, from_cache=from_cache)
+            jobs=self.jobs, from_cache=from_cache,
+            quarantined=len(characterization.quarantined))
         self._campaigns[benchmark] = (campaign, characterization)
         self._emit_audit(characterization, "characterize")
 
@@ -603,7 +591,8 @@ class ExperimentContext:
         result.characterization = characterization.characterization
         result.throughput = ThroughputRecord(
             phase="coverage", windows=len(result.coverage_results),
-            jobs=self.jobs, from_cache=from_cache)
+            jobs=self.jobs, from_cache=from_cache,
+            quarantined=len(result.quarantined))
         self._coverage[(benchmark, scheme)] = result
         self._emit_audit(result, "coverage")
 
@@ -611,7 +600,7 @@ class ExperimentContext:
     def _note_supervised(throughput: ThroughputRecord,
                          report) -> None:
         """Fold a supervisor :class:`PhaseReport`'s counters into the
-        phase's throughput record (no-op on unsupervised runs)."""
+        phase's throughput record (no-op on a cache hit)."""
         if report is None:
             return
         throughput.retries = report.retries

@@ -11,7 +11,8 @@ immutable configuration):
   are independent given the configuration; :meth:`ExperimentContext.
   prefetch` fans them out across a worker pool;
 - **window level** — inside one campaign, the planned fault list is
-  split into contiguous chunks; the dispatcher runs *one* golden pass
+  split into contiguous chunks; the supervisor
+  (:mod:`repro.harness.supervisor`) runs *one* golden pass
   that captures a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
   each chunk boundary (reusing cached ones when the artifact cache has
   them) and ships each worker its boundary checkpoint. Workers restore
@@ -264,10 +265,12 @@ def coverage_task(args) -> CampaignResult:
     with worker_task_span("worker:coverage", benchmark=benchmark,
                           scheme=scheme):
         ctx = _worker_context(cfg, hw)
-        campaign = ctx.build_campaign(benchmark)
-        return campaign.run_coverage(
-            scheme, lambda: ctx.make_core(benchmark, scheme),
-            characterization)
+        if benchmark not in ctx._campaigns:
+            # the parent's characterisation, so the worker never
+            # re-classifies the baseline phase
+            ctx._adopt_characterization(benchmark, characterization,
+                                        from_cache=False)
+        return ctx.coverage(benchmark, scheme)
 
 
 # ----------------------------------------------------------------------
@@ -439,54 +442,6 @@ def window_chunk_task(args) -> List[WindowResult]:
                               resume_at_commit=checkpoint.resume_at_commit)
 
 
-def run_chunk_descriptor(descriptor) -> List[WindowResult]:
-    """Classify one shipped fabric chunk descriptor.
-
-    The descriptor (a dict pushed through the fabric store by
-    :class:`repro.harness.executor.RemoteChunkExecutor`) is
-    self-contained — config, hardware, fault plan, window range and the
-    boundary checkpoint — so any agent on any host runs exactly the
-    computation :func:`window_chunk_task` would run for a local pool
-    worker, bit for bit.
-    """
-    return window_chunk_task((
-        descriptor["cfg"], descriptor["hw"], descriptor["benchmark"],
-        descriptor["scheme"], descriptor["records"], descriptor["lo"],
-        descriptor["hi"], descriptor.get("checkpoint")))
-
-
-def classify_windows_parallel(cfg, hw, benchmark: str, scheme,
-                              records: Sequence[FaultRecord],
-                              executor: ParallelExecutor,
-                              cache=None, ctx=None,
-                              use_checkpoints: bool = True,
-                              checkpoint_stats: Optional[CheckpointStats]
-                              = None) -> List[WindowResult]:
-    """Fan one campaign's fault windows out across the pool; results are
-    positionally identical to ``classifier.run(records)``.
-
-    By default the dispatcher runs one golden pass capturing (or, given
-    *cache*, reloading) a checkpoint per chunk boundary and ships each
-    worker its boundary; ``use_checkpoints=False`` keeps the legacy
-    per-worker prefix replay. *checkpoint_stats*, when given, accumulates
-    the dispatcher's capture/hit counts and golden-pass wall-clock.
-    """
-    records = list(records)
-    bounds = align_chunk_bounds(chunk_bounds(len(records), executor.jobs),
-                                records)
-    if use_checkpoints and bounds:
-        checkpoints = chunk_checkpoints(
-            cfg, hw, benchmark, scheme, records, bounds,
-            cache=cache, events=executor.events, ctx=ctx,
-            stats=checkpoint_stats, jobs=executor.jobs)
-    else:
-        checkpoints = [None] * len(bounds)
-    tasks = [(cfg, hw, benchmark, scheme, records, lo, hi, checkpoint)
-             for (lo, hi), checkpoint in zip(bounds, checkpoints)]
-    chunks = executor.map(window_chunk_task, tasks)
-    return [window for chunk in chunks for window in chunk]
-
-
 __all__ = [
     "CheckpointStats",
     "ContextMetrics",
@@ -494,12 +449,10 @@ __all__ = [
     "align_chunk_bounds",
     "chunk_bounds",
     "chunk_checkpoints",
-    "classify_windows_parallel",
     "default_jobs",
     "fault_free_task",
     "srt_task",
     "characterize_task",
     "coverage_task",
-    "run_chunk_descriptor",
     "window_chunk_task",
 ]

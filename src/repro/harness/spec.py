@@ -18,7 +18,7 @@ Source spec fields (all optional unless noted)::
       "version": 1,                       // required
       "name": "nightly",                  // defaults to the file stem
       "comment": "...",                   // free-form, carried through
-      "priority": 0,                      // job priority (higher first)
+      "priority": 0,                      // carried through, informational
       "defaults": {"faults": 24, ...},    // per-task knob overrides
       "sweep": {                          // axes: field -> value list
         "benchmark": ["mcf", "bzip2"],
@@ -34,7 +34,7 @@ key. A spec with neither ``sweep`` nor ``tasks`` compiles to the single
 task described by ``defaults``.
 
 Every task knob maps 1:1 onto a ``repro campaign`` CLI flag
-(:func:`task_argv`), so a compiled task executed by the job server is
+(:func:`task_argv`), so a compiled task executed by ``repro sweep`` is
 *the same invocation* an operator would have typed — exit codes,
 journals and stdout are identical to the one-shot CLI.
 """
@@ -300,8 +300,7 @@ def load_run(path: str | os.PathLike) -> Dict[str, Any]:
     """Load a run document, compiling a source spec on the fly.
 
     Accepts either layer: a ``.run.json`` is validated as-is, a
-    ``.src.json`` is compiled first — so every consumer (``repro
-    submit``, the server queue) takes both.
+    ``.src.json`` is compiled first — so ``repro sweep`` takes both.
     """
     path = pathlib.Path(path)
     document = load_spec(path)
@@ -353,11 +352,10 @@ def task_argv(task: Dict[str, Any],
     """The exact ``repro`` argv a compiled task stands for.
 
     Every knob is spelled out explicitly (the run layer never relies on
-    CLI defaults), so the server-executed subprocess and a hand-typed
-    one-shot ``repro campaign`` are the same invocation — same stdout,
-    same journal, same exit code. *jobs* overrides the task's worker
-    count (the server's multiplexing share); *run_dir* adds the
-    crash-safe journal.
+    CLI defaults), so a ``repro sweep`` task and a hand-typed one-shot
+    ``repro campaign`` are the same invocation — same stdout, same
+    journal, same exit code. *jobs* overrides the task's worker count;
+    *run_dir* adds the crash-safe journal.
     """
     argv = ["campaign", str(task["benchmark"]),
             "--scheme", str(task["scheme"]),

@@ -31,13 +31,12 @@ result. The :class:`Supervisor` wraps the window-chunk dispatcher from
   downshifts ``jobs`` (8 -> 4 -> ... -> 1 -> in-process) instead of
   aborting, emitting a ``degradation`` event at each step.
 
-Chunk dispatch itself is pluggable: the supervisor hands each phase's
-chunk queue to a :class:`~repro.harness.executor.ChunkExecutor`
-(in-process, local pool, or the distributed fabric's remote executor —
-see :mod:`repro.harness.executor`). All completions and failures flow
-back through the same ``_complete``/``_note_failure``/quarantine/journal
-machinery, so results — and ``repro resume`` — are bit-for-bit identical
-across executor kinds.
+Every fan-out runs on one of two dispatchers: in-process (``jobs == 1``
+or after a downshift to serial), threading one live golden core through
+the chunks, or a local process pool fed boundary checkpoints. Both feed
+the same ``_complete``/``_note_failure``/quarantine/journal machinery,
+so results — and ``repro resume`` — are bit-for-bit identical across
+them.
 
 Chaos knobs (for the chaos-campaign CI job and tests, never set in
 production runs) are read by the *worker-side* task only:
@@ -71,13 +70,11 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
-from ..obs.events import NULL_LOG, WORKER_DIR_ENV
+from ..obs.events import NULL_LOG, WORKER_DIR_ENV, read_jsonl
 from ..obs.manifest import config_digest
 from ..obs.metrics import NULL_METRICS
 from . import parallel as _parallel
 from .cache import ArtifactCache
-from .executor import (ChunkExecutor, LocalPoolExecutor,
-                       SerialChunkExecutor)
 
 #: Campaign exit codes (``repro campaign`` / ``repro resume``).
 EXIT_COMPLETE = 0
@@ -275,36 +272,14 @@ class CampaignJournal:
 
     @staticmethod
     def read(run_dir: str | os.PathLike) -> List[Dict[str, Any]]:
-        """Parsed journal records; a torn final line (SIGKILL
-        mid-append) is reported as a ``truncated_tail`` note instead of
-        failing the resume. Resume replay ignores the note (it only
-        folds ``chunk_done``/``quarantine``); ``repro report`` surfaces
-        it so the interruption stays visible."""
+        """Parsed journal records (:func:`repro.obs.events.read_jsonl`);
+        a torn final line (SIGKILL mid-append) is reported as a
+        ``truncated_tail`` note instead of failing the resume. Resume
+        replay ignores the note (it only folds ``chunk_done``/
+        ``quarantine``); ``repro report`` surfaces it so the
+        interruption stays visible."""
         path = pathlib.Path(run_dir) / "journal.jsonl"
-        records: List[Dict[str, Any]] = []
-        if not path.exists():
-            return records
-        with open(path, encoding="utf-8", newline="") as handle:
-            content = handle.read()
-        lines = content.split("\n")
-        tail = lines.pop()
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{number}: not JSON: {exc}") from None
-        if tail.strip():
-            try:
-                records.append(json.loads(tail))
-            except json.JSONDecodeError:
-                records.append({"type": "truncated_tail",
-                                "line": len(lines) + 1,
-                                "bytes": len(tail.encode("utf-8"))})
-        return records
+        return read_jsonl(path) if path.exists() else []
 
 
 # ----------------------------------------------------------------------
@@ -370,13 +345,9 @@ class Supervisor:
 
     def __init__(self, policy: Optional[SupervisorPolicy] = None,
                  run_dir: Optional[str | os.PathLike] = None,
-                 jobs: Optional[int] = None, events=None, metrics=None,
-                 executor: Optional[ChunkExecutor] = None):
+                 jobs: Optional[int] = None, events=None, metrics=None):
         self.policy = policy or SupervisorPolicy()
         self.jobs = max(1, jobs) if jobs is not None else None
-        #: Explicit dispatch override (e.g. the fabric's remote
-        #: executor); None picks serial/pool from the job count.
-        self.executor = executor
         self.events = events if events is not None else NULL_LOG
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.run_dir = pathlib.Path(run_dir) if run_dir else None
@@ -465,6 +436,19 @@ class Supervisor:
                 "complete-with-quarantine": EXIT_QUARANTINE,
                 "aborted": EXIT_ABORTED}[self.status]
 
+    def adopt_quarantine(self,
+                         quarantined: Sequence[QuarantineRecord]) -> None:
+        """Take over one phase's quarantines from another supervisor
+        (a prefetch worker's), so this campaign's status, exit code and
+        quarantine report include them."""
+        if not quarantined:
+            return
+        first = quarantined[0]
+        self.reports.append(PhaseReport(
+            phase=first.phase, benchmark=first.benchmark,
+            scheme=first.scheme, status="complete-with-quarantine",
+            quarantined=list(quarantined)))
+
     # -- main entry ----------------------------------------------------
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
@@ -494,10 +478,10 @@ class Supervisor:
 
         gaps = self._gaps(len(records), done, quarantined)
         bounds = self._chunk_gaps(gaps, jobs, records)
-        chunk_executor = self._select_executor(jobs)
+        serial = self._runs_serial(jobs)
         self._emit("plan", phase_ctx, chunks=len(bounds),
                    windows=len(records), resumed=report.chunks_resumed,
-                   executor=chunk_executor.kind)
+                   executor="serial" if serial else "pool")
         if self.journal is not None:
             self.journal.append({
                 "type": "plan", "phase": phase, "benchmark": benchmark,
@@ -510,7 +494,7 @@ class Supervisor:
         self._progress(phase_ctx, report)
 
         if bounds:
-            if not chunk_executor.needs_checkpoints:
+            if serial:
                 # the serial dispatcher threads one live golden core
                 # through the chunks — no checkpoint golden pass needed
                 checkpoints: List[Any] = [None] * len(bounds)
@@ -530,9 +514,12 @@ class Supervisor:
                        checkpoint,
                        max_attempts=self.policy.max_retries + 1)
                 for (lo, hi), checkpoint in zip(bounds, checkpoints))
-            chunk_executor.run_phase(self, phase_ctx, chunks, done,
-                                     quarantined, report, jobs=jobs,
-                                     ctx=ctx)
+            if serial:
+                self._run_serial(phase_ctx, chunks, done, quarantined,
+                                 report, ctx=ctx)
+            else:
+                self._run_pool(phase_ctx, chunks, done, quarantined,
+                               report, jobs, ctx=ctx)
 
         if report.status == "aborted":
             if self.journal is not None:
@@ -556,19 +543,11 @@ class Supervisor:
                    quarantined=len(report.quarantined))
         return report
 
-    # -- executor selection --------------------------------------------
-    def _select_executor(self, jobs: int) -> ChunkExecutor:
-        """The dispatcher for this fan-out: a forced-serial downshift
-        always wins (the pool machinery has already proven unusable),
-        then an explicit executor (``--fabric``), then serial/pool by
-        job count."""
-        if self._force_serial:
-            return SerialChunkExecutor()
-        if self.executor is not None:
-            return self.executor
-        if jobs == 1:
-            return SerialChunkExecutor()
-        return LocalPoolExecutor()
+    # -- dispatcher selection ------------------------------------------
+    def _runs_serial(self, jobs: int) -> bool:
+        """In-process dispatch for ``jobs == 1``; a forced-serial
+        downshift always wins (the pool has already proven unusable)."""
+        return jobs == 1 or self._force_serial
 
     # -- chunk identity and resume -------------------------------------
     def _chunk_key(self, phase_ctx: _Phase, lo: int, hi: int) -> str:
@@ -1044,13 +1023,16 @@ class Supervisor:
         return time.monotonic() + allowed
 
     def _backoff(self, chunk: _Chunk) -> float:
+        """Seconds before *chunk*'s next attempt: exponential in the
+        attempt count plus deterministic jitter (no RNG, so a run is
+        replayable), clamped so ``backoff_max`` is a true ceiling."""
         policy = self.policy
-        delay = min(policy.backoff_max,
-                    policy.backoff_base * 2.0 ** (chunk.attempts - 1))
+        delay = policy.backoff_base * 2.0 ** (chunk.attempts - 1)
         self._jitter_salt += 1
         jitter = _chaos_fraction("backoff", chunk.lo, chunk.hi,
                                  chunk.attempts, self._jitter_salt)
-        return delay * (1.0 + policy.backoff_jitter * jitter)
+        return min(policy.backoff_max,
+                   delay * (1.0 + policy.backoff_jitter * jitter))
 
     # -- outcome handling ----------------------------------------------
     @staticmethod

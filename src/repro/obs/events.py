@@ -31,7 +31,7 @@ import os
 import pathlib
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: Environment variable through which the parent hands pool workers the
 #: spool directory for their private event files.
@@ -331,39 +331,52 @@ def worker_task_span(name: str, **attrs: Any) -> Iterator[None]:
             pass    # telemetry must never take the computation down
 
 
-def read_events(path: str | os.PathLike) -> List[Dict[str, Any]]:
-    """Load a JSONL event log into a list of dicts.
+def read_jsonl(path: str | os.PathLike,
+               tail_fields: Callable[[List[Dict[str, Any]]],
+                                     Dict[str, Any]] = lambda _: {}
+               ) -> List[Dict[str, Any]]:
+    """Load an append-only JSONL file into a list of dicts.
 
     Parsing is strict for every *complete* (newline-terminated) line —
     a corrupt one raises ``ValueError``. A torn final line with no
     trailing newline is the signature of a writer killed mid-append;
     it is tolerated: if it parses it is kept, otherwise it is replaced
-    by one synthesized ``truncated_tail`` note event so downstream
-    consumers can see the log ended raggedly without crashing.
+    by one synthesized ``truncated_tail`` note record (``line``,
+    ``bytes``, plus whatever ``tail_fields(records_so_far)`` adds) so
+    downstream consumers can see the file ended raggedly without
+    crashing.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         content = handle.read()
     lines = content.split("\n")
     tail = lines.pop()          # "" when content ends with a newline
-    events: List[Dict[str, Any]] = []
+    records: List[Dict[str, Any]] = []
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            events.append(json.loads(line))
+            records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{number}: not JSON: {exc}") from None
     if tail.strip():
         try:
-            events.append(json.loads(tail))
+            records.append(json.loads(tail))
         except json.JSONDecodeError:
-            last_ts = events[-1].get("ts", 0.0) if events else 0.0
-            events.append({"ts": last_ts, "type": "truncated_tail",
-                           "pid": 0, "line": len(lines) + 1,
-                           "bytes": len(tail.encode("utf-8"))})
-    return events
+            records.append({**tail_fields(records), "type": "truncated_tail",
+                            "line": len(lines) + 1,
+                            "bytes": len(tail.encode("utf-8"))})
+    return records
+
+
+def read_events(path: str | os.PathLike) -> List[Dict[str, Any]]:
+    """Load a JSONL event log (:func:`read_jsonl`); a synthesized
+    ``truncated_tail`` note carries the last event's ``ts`` and
+    ``pid`` 0 so it validates like any other event."""
+    return read_jsonl(path, lambda events: {
+        "ts": events[-1].get("ts", 0.0) if events else 0.0, "pid": 0})
 
 
 __all__ = ["EventLog", "NullEventLog", "NULL_LOG", "SCHEMA_VERSION",
-           "WORKER_DIR_ENV", "read_events", "worker_task_span"]
+           "WORKER_DIR_ENV", "read_events", "read_jsonl",
+           "worker_task_span"]

@@ -57,12 +57,6 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     "heartbeat": {"phase": (str,), "running": (int,), "pending": (int,)},
     # synthesized by read_events/the follower for a torn final JSONL line
     "truncated_tail": {"line": (int,), "bytes": (int,)},
-    # the campaign job server's lifecycle trail (`repro serve`)
-    "job": {"action": (str,), "job": (str,)},
-    # fabric agent membership, as seen by the remote chunk executor
-    "agent": {"action": (str,), "agent": (str,)},
-    # chunk-lease lifecycle on the distributed campaign fabric
-    "lease": {"action": (str,), "key": (str,), "agent": (str,)},
 }
 
 #: Optional fields that, when present, must have these types
@@ -95,14 +89,6 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
     "heartbeat": {"benchmark": (str,), "scheme": (str,),
                   "workers": (list,), "windows_done": (int,),
                   "windows_total": (int,)},
-    "job": {"name": (str,), "priority": (int,), "task": (str,),
-            "index": (int,), "state": (str,), "exit_code": (int,),
-            "reason": (str,)},
-    "agent": {"pid": (int,), "reason": (str,), "slots": (int,),
-              "fabric": (str,)},
-    "lease": {"lo": (int,), "hi": (int,), "attempt": (int,),
-              "reason": (str,), "phase": (str,),
-              "speculative": (bool,)},
 }
 
 #: The recovery labels a ``fault_audit`` event may carry.
@@ -116,21 +102,6 @@ CHECKPOINT_ACTIONS = ("capture", "hit")
 SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "timeout",
                       "pool_rebuild", "bisect", "quarantine", "drain",
                       "phase_done")
-
-#: The lifecycle actions a ``job`` event may carry (`repro serve`).
-JOB_ACTIONS = ("submitted", "adopted", "started", "task_start",
-               "task_done", "done", "cancelled", "requeued",
-               "interrupted")
-
-#: Fabric-agent membership transitions (`repro agent` / ``--fabric``).
-AGENT_ACTIONS = ("join", "rejoin", "leave", "lost")
-
-#: Chunk-lease lifecycle on the distributed fabric. ``adopt`` marks a
-#: result folded straight from the shared store (no live lease);
-#: ``dedup`` marks a second result for an already-completed chunk key
-#: (first result wins).
-LEASE_ACTIONS = ("grant", "complete", "expire", "speculate", "cancel",
-                 "dedup", "adopt")
 
 #: What the cache did about a corrupt entry.
 CACHE_CORRUPT_ACTIONS = ("dropped", "quarantined")
@@ -182,15 +153,6 @@ def validate_event(event: Any, where: str = "event") -> List[str]:
             and event.get("action") not in SUPERVISOR_ACTIONS):
         errors.append(f"{where}: supervisor.action "
                       f"{event.get('action')!r} not in {SUPERVISOR_ACTIONS}")
-    if event_type == "job" and event.get("action") not in JOB_ACTIONS:
-        errors.append(f"{where}: job.action "
-                      f"{event.get('action')!r} not in {JOB_ACTIONS}")
-    if event_type == "agent" and event.get("action") not in AGENT_ACTIONS:
-        errors.append(f"{where}: agent.action "
-                      f"{event.get('action')!r} not in {AGENT_ACTIONS}")
-    if event_type == "lease" and event.get("action") not in LEASE_ACTIONS:
-        errors.append(f"{where}: lease.action "
-                      f"{event.get('action')!r} not in {LEASE_ACTIONS}")
     if (event_type == "cache_corrupt" and "action" in event
             and event.get("action") not in CACHE_CORRUPT_ACTIONS):
         errors.append(f"{where}: cache_corrupt.action "
@@ -279,8 +241,7 @@ def summarize_events(events: Iterable[dict]) -> Dict[str, Any]:
 
 
 __all__ = ["REQUIRED_FIELDS", "OPTIONAL_FIELDS", "RECOVERY_LABELS",
-           "CHECKPOINT_ACTIONS", "SUPERVISOR_ACTIONS", "JOB_ACTIONS",
-           "AGENT_ACTIONS", "LEASE_ACTIONS",
+           "CHECKPOINT_ACTIONS", "SUPERVISOR_ACTIONS",
            "CACHE_CORRUPT_ACTIONS", "ORPHAN_SPOOL_ACTIONS",
            "validate_event", "validate_events",
            "check_spans", "summarize_events"]

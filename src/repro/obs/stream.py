@@ -172,9 +172,6 @@ class CampaignStatus:
     phases: Dict[str, PhaseProgress] = field(default_factory=dict)
     #: worker pid -> timestamp of its last heartbeat/lifecycle event
     workers: Dict[int, float] = field(default_factory=dict)
-    #: remote agent name -> {"state", "leases", "chunks_done", "ts"}
-    #: (empty unless the campaign runs on a distributed fabric)
-    agents: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     throughput: Optional[float] = None     # windows per second
     eta_seconds: Optional[float] = None
     aggregates: Dict[str, Any] = field(default_factory=dict)
@@ -217,8 +214,6 @@ class CampaignStatus:
                        for name, p in self.phases.items()},
             "workers": {str(pid): ts
                         for pid, ts in sorted(self.workers.items())},
-            "agents": {name: dict(info)
-                       for name, info in sorted(self.agents.items())},
             "throughput_windows_per_sec": self.throughput,
             "eta_seconds": self.eta_seconds,
             "aggregates": self.aggregates,
@@ -274,7 +269,6 @@ class CampaignMonitor:
         self._samples: Dict[str, List[Tuple[float, float]]] = {}
         self._metrics = MetricsRegistry()
         self._tallies = {name: 0 for name in _SUPERVISOR_TALLIES}
-        self._agents: Dict[str, Dict[str, Any]] = {}
 
     # -- folding -------------------------------------------------------
     def _phase(self, name: Optional[str]) -> PhaseProgress:
@@ -359,34 +353,6 @@ class CampaignMonitor:
                 self._tallies[action] += 1
             elif action == "drain":
                 self._aborted = True
-        elif event_type == "agent":
-            name = str(event.get("agent", "?"))
-            slot = self._agents.setdefault(
-                name, {"state": "?", "leases": 0, "chunks_done": 0,
-                       "ts": 0.0})
-            action = event.get("action")
-            if action in ("join", "rejoin"):
-                slot["state"] = "live"
-            elif action == "lost":
-                slot["state"] = "lost"
-            elif action == "leave":
-                slot["state"] = "gone"
-            slot["ts"] = ts
-        elif event_type == "lease":
-            name = event.get("agent")
-            # "adopt" credits the fabric store, not a live agent
-            if name and name != "store":
-                slot = self._agents.setdefault(
-                    str(name), {"state": "?", "leases": 0,
-                                "chunks_done": 0, "ts": 0.0})
-                action = event.get("action")
-                if action in ("grant", "speculate"):
-                    slot["leases"] += 1
-                elif action in ("complete", "expire", "cancel"):
-                    slot["leases"] = max(0, slot["leases"] - 1)
-                if action == "complete":
-                    slot["chunks_done"] += 1
-                slot["ts"] = ts
         elif event_type == "truncated_tail":
             self._truncated += 1
 
@@ -446,8 +412,6 @@ class CampaignMonitor:
             phases={name: PhaseProgress(**vars(slot))
                     for name, slot in self._phases.items()},
             workers=dict(self._workers),
-            agents={name: dict(info)
-                    for name, info in self._agents.items()},
             throughput=rate, eta_seconds=eta,
             aggregates=aggregates_from_events(self._audits),
             metrics=self._metrics.snapshot(),
@@ -501,13 +465,6 @@ def render_status(status: CampaignStatus) -> str:
                 f"{slot.phase:14s} {slot.scheme:12s} {windows:>13s}  "
                 f"{_progress_bar(slot.windows_done, slot.windows_total)} "
                 f"{chunks:>9s}  {slot.status}")
-    if status.agents:
-        parts = []
-        for name, info in sorted(status.agents.items()):
-            parts.append(f"{name}[{info.get('state', '?')}] "
-                         f"leases {info.get('leases', 0)} "
-                         f"done {info.get('chunks_done', 0)}")
-        lines.append("agents " + "   ".join(parts))
     rate = (f"{status.throughput:.2f} windows/s"
             if status.throughput else "-")
     lines.append(f"throughput {rate}   eta {_format_eta(status.eta_seconds)}"

@@ -23,7 +23,7 @@ from repro.faults.model import (FaultClass, FaultRecord, FaultSite,
 from repro.harness.experiment import (SCHEMES, ExperimentConfig,
                                       ExperimentContext)
 from repro.harness.parallel import (align_chunk_bounds, chunk_bounds,
-                                    classify_windows_parallel)
+                                    chunk_checkpoints, window_chunk_task)
 from repro.harness.supervisor import Supervisor, SupervisorPolicy
 from repro.obs.audit import audit_aggregates, audit_records
 from repro.pipeline import CoreCheckpoint
@@ -125,8 +125,13 @@ class TestBatchedEquivalence:
         ctx = ExperimentContext(_BATCHED, jobs=3)
         campaign = ctx.build_campaign("mcf")
         fresh = [r.fresh_copy() for r in campaign.records]
-        windows = classify_windows_parallel(_BATCHED, ctx.hw, "mcf", None,
-                                            fresh, ctx._executor)
+        bounds = align_chunk_bounds(chunk_bounds(len(fresh), 3), fresh)
+        checkpoints = chunk_checkpoints(_BATCHED, ctx.hw, "mcf", None,
+                                        fresh, bounds, ctx=ctx, jobs=3)
+        chunks = ctx._executor.map(window_chunk_task, [
+            (_BATCHED, ctx.hw, "mcf", None, fresh, lo, hi, checkpoint)
+            for (lo, hi), checkpoint in zip(bounds, checkpoints)])
+        windows = [window for chunk in chunks for window in chunk]
         assert windows == scalar[0].characterization
 
     def test_supervised_pool_matches_scalar_serial(self, scalar, tmp_path):

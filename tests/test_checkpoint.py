@@ -20,8 +20,8 @@ from repro.harness import parallel as parallel_module
 from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
 from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    classify_windows_parallel,
-                                    window_chunk_task)
+                                    chunk_checkpoints, window_chunk_task)
+from repro.harness.supervisor import Supervisor
 from repro.pipeline import (CoreCheckpoint, capture_checkpoint,
                             restore_checkpoint)
 
@@ -228,8 +228,9 @@ class TestChunkEdges:
 
     def test_empty_records_classify_to_nothing(self):
         ctx = ExperimentContext(_TINY, jobs=2)
-        assert classify_windows_parallel(
-            _TINY, ctx.hw, "mcf", None, [], ctx._executor) == []
+        report = Supervisor(jobs=2).classify_windows(
+            _TINY, ctx.hw, "mcf", None, [], phase="characterize", ctx=ctx)
+        assert report.windows == []
 
 
 class TestChunkOrdering:
@@ -352,16 +353,15 @@ class TestFourPathEquivalence:
         ctx = ExperimentContext(_TINY, jobs=2, cache=cache)
         stats = CheckpointStats()
         campaign = ctx.build_campaign("mcf")
-        classify_windows_parallel(_TINY, ctx.hw, "mcf", None,
-                                  campaign.records, ctx._executor,
-                                  cache=cache, ctx=ctx,
-                                  checkpoint_stats=stats)
+        bounds = chunk_bounds(len(campaign.records), 2)
+        chunk_checkpoints(_TINY, ctx.hw, "mcf", None, campaign.records,
+                          bounds, cache=cache, ctx=ctx, stats=stats,
+                          jobs=2)
         assert stats.captured == len(chunk_bounds(len(campaign.records), 2))
         assert stats.hits == 0
         rerun = CheckpointStats()
-        classify_windows_parallel(_TINY, ctx.hw, "mcf", None,
-                                  campaign.records, ctx._executor,
-                                  cache=cache, ctx=ctx,
-                                  checkpoint_stats=rerun)
+        chunk_checkpoints(_TINY, ctx.hw, "mcf", None, campaign.records,
+                          bounds, cache=cache, ctx=ctx, stats=rerun,
+                          jobs=2)
         assert rerun.captured == 0
         assert rerun.hits == stats.captured

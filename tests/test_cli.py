@@ -1,10 +1,16 @@
 """CLI tests (in-process, via main(argv))."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.supervisor import CampaignJournal
 
 
 def run_cli(capsys, *argv):
@@ -284,3 +290,132 @@ def test_metrics_export_empty_log_notes_it(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "no metrics" in err
+
+
+# ----------------------------------------------------------------------
+# repro sweep: a spec's tasks in order, with one-shot parity
+# ----------------------------------------------------------------------
+_SWEEP_SPEC = {"kind": "repro.campaign.src", "version": 1, "name": "sw",
+               "defaults": {"faults": 10, "no_cache": True},
+               "tasks": [{"benchmark": "bzip2"},
+                         {"benchmark": "mcf", "faults": 48}]}
+
+
+def _cli_env():
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return env
+
+
+def _repro(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=_cli_env(), capture_output=True,
+                          timeout=240, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def sweep_reference(tmp_path_factory):
+    """The sweep spec on disk plus its tasks' one-shot stdouts, each
+    from a hand-typed ``repro campaign`` with no run dir."""
+    from repro.harness.spec import compile_spec, task_argv
+    spec = tmp_path_factory.mktemp("sweep") / "sw.src.json"
+    spec.write_text(json.dumps(_SWEEP_SPEC))
+    tasks = compile_spec(_SWEEP_SPEC)["tasks"]
+    stdout = b""
+    for task in tasks:
+        result = _repro(*task_argv(task))
+        assert result.returncode == 0, result.stderr.decode()
+        stdout += result.stdout
+    return spec, tasks, stdout
+
+
+def test_sweep_rejects_invalid_spec(tmp_path, capsys):
+    spec = tmp_path / "bad.src.json"
+    spec.write_text(json.dumps({
+        "kind": "repro.campaign.src", "version": 1,
+        "defaults": {"benchmark": "nonesuch"}}))
+    code, _, err = run_cli(capsys, "sweep", str(spec), str(tmp_path / "r"))
+    assert code == 1
+    assert "nonesuch" in err
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(300)
+def test_sweep_stdout_is_oneshot_concatenation(tmp_path, sweep_reference):
+    """A 2-task sweep prints exactly the two one-shot campaign stdouts,
+    back to back, and journals each task under RUN_DIR/<task key>."""
+    spec, tasks, reference = sweep_reference
+    run_dir = tmp_path / "run"
+    result = _repro("sweep", str(spec), str(run_dir))
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == reference
+    for number, task in enumerate(tasks, start=1):
+        assert (run_dir / task["key"] / "journal.jsonl").exists()
+        assert f"task {number}/2".encode() in result.stderr
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(300)
+def test_sweep_rerun_after_sigkill_converges(tmp_path, sweep_reference):
+    """SIGKILL the sweep mid-way through its second task; re-running
+    the same command resumes from the journals and prints the
+    uninterrupted bytes."""
+    spec, tasks, reference = sweep_reference
+    run_dir = tmp_path / "run"
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "sweep", str(spec),
+         str(run_dir)], env=_cli_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    journal = run_dir / tasks[1]["key"] / "journal.jsonl"
+    deadline = time.monotonic() + 180
+    try:
+        while time.monotonic() < deadline:
+            if victim.poll() is not None:
+                break
+            if journal.exists() and "chunk_done" in journal.read_text():
+                break
+            time.sleep(0.05)
+        assert victim.poll() is None, "sweep finished before the kill"
+    finally:
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        victim.wait(timeout=30)
+
+    rerun = _repro("sweep", str(spec), str(run_dir))
+    assert rerun.returncode == 0, rerun.stderr.decode()
+    assert rerun.stdout == reference
+    records = CampaignJournal.read(run_dir / tasks[1]["key"])
+    assert any(r["type"] == "resume" for r in records)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_figure_reports_quarantine_and_exit_code(capsys, monkeypatch, jobs):
+    """A poison window in a figure run is quarantined, listed on stderr,
+    and turns the exit code to 3 — on the pull path (--jobs 1) and on
+    the prefetch worker pool (--jobs 2, one task per benchmark) alike."""
+    from repro import cli
+    from repro.faults.classifier import TandemClassifier
+    from repro.harness import ExperimentConfig
+    from repro.harness import parallel as _parallel
+    from repro.harness.supervisor import EXIT_QUARANTINE
+    monkeypatch.setattr(_parallel, "_WORKER_CONTEXTS", {})
+    monkeypatch.setitem(cli._SCALES, "quick", ExperimentConfig(
+        benchmarks=("bzip2", "mcf"), dynamic_target=2_200, num_faults=10,
+        warmup_commits=400, window_commits=150, max_window_cycles=60_000))
+    real_run = TandemClassifier.run
+
+    def poisoned(self, records, **kwargs):
+        if any(record.index == 0 for record in records):
+            raise RuntimeError("injected deterministic poison")
+        return real_run(self, records, **kwargs)
+
+    monkeypatch.setattr(TandemClassifier, "run", poisoned)
+    code, out, err = run_cli(capsys, "figure", "fig7", "--no-cache",
+                             "--jobs", jobs)
+    assert code == EXIT_QUARANTINE
+    assert "Figure 7" in out
+    assert "2 poison window(s) quarantined" in err
+    assert err.count("characterize/baseline window 0") == 2

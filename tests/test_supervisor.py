@@ -25,9 +25,10 @@ import pytest
 from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
                            SupervisorPolicy, read_poisoned,
                            summarize_run_dir)
+from repro.harness import parallel as _parallel
 from repro.harness.supervisor import (CampaignAborted, CampaignJournal,
                                       EXIT_ABORTED, EXIT_QUARANTINE,
-                                      _chaos_indices)
+                                      _Chunk, _chaos_indices)
 
 # geometry matching `repro campaign mcf --faults 10`: produces a small
 # but non-empty SDC set, so the coverage phase is exercised for real
@@ -40,10 +41,105 @@ _FAST_BACKOFF = dict(backoff_base=0.01, backoff_max=0.05)
 
 @pytest.fixture(scope="module")
 def serial_reference():
+    """The plain serial classifier, with no supervisor in the loop."""
     ctx = ExperimentContext(_TINY, jobs=1)
-    _, characterization = ctx.campaign("mcf")
-    coverage = ctx.coverage("mcf", "faulthound")
+    campaign = ctx.build_campaign("mcf")
+    characterization = campaign.characterize()
+    coverage = campaign.run_coverage(
+        "faulthound", lambda: ctx.make_core("mcf", "faulthound"),
+        characterization)
     return characterization, coverage
+
+
+# ----------------------------------------------------------------------
+# dispatcher selection
+# ----------------------------------------------------------------------
+class TestSelection:
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """Run one characterisation fan-out with both dispatchers
+        stubbed out; returns the name of the one that was called."""
+        calls = []
+        monkeypatch.setattr(Supervisor, "_run_serial",
+                            lambda self, *a, **k: calls.append("serial"))
+        monkeypatch.setattr(Supervisor, "_run_pool",
+                            lambda self, *a, **k: calls.append("pool"))
+        monkeypatch.setattr(_parallel, "chunk_checkpoints",
+                            lambda *a, **k: [None] * len(a[5]))
+
+        def run(sup):
+            ctx = ExperimentContext(_TINY, jobs=1)
+            records = ctx.build_campaign("mcf").records
+            sup.classify_windows(_TINY, ctx.hw, "mcf", None, records,
+                                 phase="characterize")
+            return calls.pop()
+        return run
+
+    def test_jobs_1_selects_serial(self, dispatched):
+        assert Supervisor(jobs=1)._runs_serial(1)
+        assert dispatched(Supervisor(jobs=1)) == "serial"
+
+    def test_jobs_many_selects_pool(self, dispatched):
+        assert not Supervisor(jobs=4)._runs_serial(4)
+        assert dispatched(Supervisor(jobs=4)) == "pool"
+
+    def test_force_serial_overrides_jobs(self, dispatched):
+        sup = Supervisor(jobs=4)
+        sup._force_serial = True
+        assert sup._runs_serial(4)
+        assert dispatched(sup) == "serial"
+
+
+# ----------------------------------------------------------------------
+# retry backoff
+# ----------------------------------------------------------------------
+class TestBackoff:
+    @staticmethod
+    def _delays(policy, attempts, lo=0):
+        sup = Supervisor(policy)
+        chunk = _Chunk(lo, lo + 4, "key", None, max_attempts=99)
+        delays = []
+        for attempt in attempts:
+            chunk.attempts = attempt
+            delays.append(sup._backoff(chunk))
+        return delays
+
+    def test_grows_exponentially_and_caps(self):
+        delays = self._delays(SupervisorPolicy(backoff_base=0.1,
+                                               backoff_max=5.0,
+                                               backoff_jitter=0.0),
+                              range(1, 12))
+        assert delays[0] == pytest.approx(0.1)
+        assert delays[1] == pytest.approx(0.2)
+        assert delays[2] == pytest.approx(0.4)
+        assert max(delays) <= 5.0
+        assert delays[-1] == 5.0
+
+    def test_jitter_is_deterministic_and_bounded(self):
+        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=5.0)
+        plain = self._delays(SupervisorPolicy(backoff_base=0.1,
+                                              backoff_max=5.0,
+                                              backoff_jitter=0.0),
+                             (1, 3, 7))
+        first = self._delays(policy, (1, 3, 7))
+        assert first == self._delays(policy, (1, 3, 7))   # no RNG
+        for base, jittered in zip(plain, first):
+            assert base <= jittered <= min(5.0, base * 1.5)
+
+    def test_cap_is_a_true_ceiling(self):
+        """Jitter is applied before the cap: no retry ever waits longer
+        than ``backoff_max`` (it used to reach 1.5x the cap)."""
+        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=5.0,
+                                  backoff_jitter=0.5)
+        delays = self._delays(policy, range(1, 16))
+        assert max(delays) <= 5.0
+        assert delays[-1] == 5.0
+
+    def test_salt_decorrelates_chunks(self):
+        policy = SupervisorPolicy(backoff_base=0.1, backoff_max=5.0)
+        spread = {self._delays(policy, (4,), lo=8 * i)[0]
+                  for i in range(8)}
+        assert len(spread) > 1
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +302,45 @@ class TestQuarantine:
         assert _chaos_indices(var, "pbfs") == [7]
         monkeypatch.delenv("REPRO_CHAOS_POISON")
         assert _chaos_indices(var, "baseline") == []
+
+    def test_prefetch_worker_quarantine_is_reported_not_cached(
+            self, monkeypatch, tmp_path):
+        """A window that poisons a prefetch worker's coverage phase is
+        quarantined there; the parent context reports it through its own
+        supervisor and never publishes the reduced phase to the cache."""
+        from repro.faults.campaign import Campaign
+        from repro.faults.classifier import TandemClassifier
+        from repro.harness import ArtifactCache
+        cache = ArtifactCache(tmp_path / "cache")
+        sup = Supervisor(SupervisorPolicy(**_FAST_BACKOFF))
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup, cache=cache)
+        _, characterization = ctx.campaign("mcf")
+        sdc = Campaign.sdc_records(characterization)
+        assert sdc, "the tiny geometry must produce SDC faults"
+        poison = sdc[0].index
+        real_run = TandemClassifier.run
+
+        def poisoned(self, records, **kwargs):
+            if any(record.index == poison for record in records):
+                raise RuntimeError("injected deterministic poison")
+            return real_run(self, records, **kwargs)
+
+        # patched before the prefetch pool forks, so workers inherit it;
+        # two schemes make two tasks, so the fan-out really uses the pool
+        monkeypatch.setattr(TandemClassifier, "run", poisoned)
+        monkeypatch.setattr(_parallel, "_WORKER_CONTEXTS", {})
+        schemes = ("faulthound", "pbfs")
+        ctx.prefetch(coverage=schemes)
+        assert [(q.phase, q.scheme, q.index) for q in sup.quarantined] == [
+            ("coverage", scheme, 0) for scheme in schemes]
+        assert sup.exit_code == EXIT_QUARANTINE
+        for scheme in schemes:
+            coverage = ctx.coverage("mcf", scheme)
+            assert [q.index for q in coverage.quarantined] == [0]
+            assert coverage.throughput.quarantined == 1
+            assert len(coverage.coverage_results) == len(sdc) - 1
+        assert list((tmp_path / "cache").rglob("characterize/*.pkl"))
+        assert not list((tmp_path / "cache").rglob("coverage/*.pkl"))
 
 
 # ----------------------------------------------------------------------
