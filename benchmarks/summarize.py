@@ -104,10 +104,9 @@ def _supervisor_overhead(name, payload, saved_at):
 
 
 def _batched_lanes(name, payload, saved_at):
-    return [_row(name, "masked-heavy campaign (windows/s), "
-                       f"{payload['batch_lanes']} lanes",
-                 f"{payload['scalar_windows_per_sec']:,} win/s (scalar)",
-                 f"{payload['batched_windows_per_sec']:,} win/s (batched)",
+    return [_row(name, "masked-heavy campaign (windows/s), lazy twin",
+                 f"{payload['eager_windows_per_sec']:,} win/s (eager)",
+                 f"{payload['lazy_windows_per_sec']:,} win/s (lazy)",
                  payload["speedup"], saved_at)]
 
 

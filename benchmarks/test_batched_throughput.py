@@ -1,13 +1,14 @@
-"""Batched lockstep fault execution bench: scalar tandem vs lane batch.
+"""Lazy faulty twin bench: the eager clone-per-window path vs the lazy
+twin every window runs on.
 
-The profile is deliberately *masked-heavy* — the population the batched
-engine exists for. A wide physical register file (4096 tags, ~84% free
+The profile is deliberately *masked-heavy* — the population the lazy
+twin exists for. A wide physical register file (4096 tags, ~84% free
 at any instant) over a deep ROB means almost every REGFILE fault lands
 in a free register, stays dormant for its whole window (zero per-cycle
-cost behind the golden core), and the scalar path's clone + faulty
+cost behind the golden core), and the eager path's clone + faulty
 window re-execution is pure waste. The core geometry (8-wide frontend
 feeding a 2-wide backend through a 256-entry issue queue) keeps ~650
-micro-ops in flight so each scalar ``clone()`` is expensive — the cost
+micro-ops in flight so each eager ``clone()`` is expensive — the cost
 the dormant path never pays.
 
 Every timed pair first re-asserts bit-for-bit result equivalence: a
@@ -21,6 +22,7 @@ import time
 from repro.config import HardwareConfig
 from repro.core.screening import NullScreeningUnit
 from repro.faults.campaign import Campaign
+from repro.faults.classifier import TandemClassifier
 from repro.faults.model import FaultRecord, FaultSite
 from repro.harness import ExperimentConfig
 from repro.harness.store import ResultStore
@@ -42,12 +44,10 @@ _HW = HardwareConfig(phys_regs=4096, rob_size=1024, fetch_width=8,
 _NUM_FAULTS = 60
 _WINDOW_COMMITS = 16
 _WARMUP_COMMITS = 200
-_BATCH_LANES = 8
 _CFG = ExperimentConfig(benchmarks=("masked-heavy",), dynamic_target=6_000,
                         num_faults=_NUM_FAULTS,
                         warmup_commits=_WARMUP_COMMITS,
-                        window_commits=_WINDOW_COMMITS,
-                        batch_lanes=_BATCH_LANES)
+                        window_commits=_WINDOW_COMMITS)
 
 _RESULTS = ResultStore(RESULTS_DIR)
 
@@ -70,7 +70,7 @@ def _signature(results):
              r.record.reg_status) for r in results]
 
 
-def _run(batch_lanes: int):
+def _run():
     programs = build_smt_programs(_PROFILE, _CFG.dynamic_target, copies=2)
 
     def factory():
@@ -79,8 +79,7 @@ def _run(batch_lanes: int):
     campaign = Campaign("masked-heavy", factory, _HW.phys_regs, 2,
                         num_faults=_NUM_FAULTS, seed=5,
                         warmup_commits=_WARMUP_COMMITS,
-                        window_commits=_WINDOW_COMMITS,
-                        batch_lanes=batch_lanes)
+                        window_commits=_WINDOW_COMMITS)
     campaign.records = _plan()
     classifier = campaign.classifier(factory)
     started = time.perf_counter()
@@ -89,35 +88,36 @@ def _run(batch_lanes: int):
     return _signature(results), seconds, classifier.lane_stats
 
 
-def test_batched_lanes_throughput_and_equivalence():
-    scalar_best = batched_best = None
-    for _ in range(2):  # best-of-2: absorb one-off allocator/cache noise
-        scalar_sig, scalar_seconds, _ = _run(batch_lanes=1)
-        batched_sig, batched_seconds, stats = _run(
-            batch_lanes=_BATCH_LANES)
-        assert scalar_sig == batched_sig
-        if scalar_best is None or scalar_seconds < scalar_best:
-            scalar_best = scalar_seconds
-        if batched_best is None or batched_seconds < batched_best:
-            batched_best = batched_seconds
+def test_batched_lanes_throughput_and_equivalence(monkeypatch):
+    eager_best = lazy_best = None
+    for _ in range(3):  # best-of-3: absorb one-off allocator/cache noise
+        with monkeypatch.context() as patch:
+            patch.setattr(TandemClassifier, "_classify_window",
+                          TandemClassifier._classify_one)
+            eager_sig, eager_seconds, _ = _run()
+        lazy_sig, lazy_seconds, stats = _run()
+        assert eager_sig == lazy_sig
+        if eager_best is None or eager_seconds < eager_best:
+            eager_best = eager_seconds
+        if lazy_best is None or lazy_seconds < lazy_best:
+            lazy_best = lazy_seconds
 
-    speedup = round(scalar_best / batched_best, 2)
+    speedup = round(eager_best / lazy_best, 2)
     # masked-heavy faults must overwhelmingly ride the dormant path
     assert stats.lanes == _NUM_FAULTS
     assert stats.dormant + stats.converged >= int(0.8 * _NUM_FAULTS)
     assert stats.fallbacks == 0  # REGFILE-only plan: no LSQ lanes
-    # recorded runs clear 3x; keep headroom for noisy CI machines
-    assert speedup >= 2.5, (scalar_best, batched_best, stats)
+    # recorded runs land at 2.6-3.6x; keep headroom for noisy CI machines
+    assert speedup >= 2.5, (eager_best, lazy_best, stats)
 
     _RESULTS.save("bench_batched_lanes", {
         "profile": "masked-heavy (regfile-only faults, 4096 phys regs)",
         "num_faults": _NUM_FAULTS,
         "window_commits": _WINDOW_COMMITS,
-        "batch_lanes": _BATCH_LANES,
-        "scalar_seconds": round(scalar_best, 3),
-        "batched_seconds": round(batched_best, 3),
-        "scalar_windows_per_sec": round(_NUM_FAULTS / scalar_best, 1),
-        "batched_windows_per_sec": round(_NUM_FAULTS / batched_best, 1),
+        "eager_seconds": round(eager_best, 3),
+        "lazy_seconds": round(lazy_best, 3),
+        "eager_windows_per_sec": round(_NUM_FAULTS / eager_best, 1),
+        "lazy_windows_per_sec": round(_NUM_FAULTS / lazy_best, 1),
         "speedup": speedup,
         "lane_stats": {
             "lanes": stats.lanes,

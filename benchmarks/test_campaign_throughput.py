@@ -172,16 +172,16 @@ def test_checkpoint_restore_beats_prefix_replay():
 
         def fan_out(checkpoints=None):
             fresh = [r.fresh_copy() for r in records]
-            tasks = [(bench_cfg, ctx.hw, "mcf", None, fresh, lo, hi)
-                     for lo, hi in bounds]
-            if checkpoints is not None:
-                tasks = [task + (checkpoint,) for task, checkpoint
-                         in zip(tasks, checkpoints)]
+            if checkpoints is None:
+                checkpoints = [None] * len(bounds)
+            tasks = [(bench_cfg, ctx.hw, "mcf", None, fresh, lo, hi,
+                      checkpoint)
+                     for (lo, hi), checkpoint in zip(bounds, checkpoints)]
             chunks = ctx._executor.map(window_chunk_task, tasks)
             return [window for chunk in chunks for window in chunk]
 
         started = time.perf_counter()
-        via_replay = fan_out()          # 7-tuple tasks: prefix replay
+        via_replay = fan_out()          # checkpoint None: prefix replay
         replay_seconds = time.perf_counter() - started
 
         stats = CheckpointStats()

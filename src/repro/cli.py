@@ -106,20 +106,32 @@ _SCALES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 — a value below the
-    bound is a parser error, never a silent clamp."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
-    return value
+def _bounded(kind, minimum, inclusive=True):
+    """argparse type for a number bounded below, with the bound
+    ``validate_task`` enforces on the same spec field — a value out of
+    range is a parser error, never a silent clamp."""
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a valid {kind.__name__}")
+        if value < minimum or (not inclusive and value == minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {minimum} (got {value})")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, inclusive=False)
 
 
 def _add_exec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--jobs", type=int, default=None,
+    sub.add_argument("--jobs", type=_positive_int, default=None,
                      help="worker processes for campaign/figure fan-out "
                           "(default: all CPUs; 1 = serial)")
     sub.add_argument("--no-cache", action="store_true",
@@ -137,15 +149,15 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--run-dir", metavar="DIR", default=None,
                      help="journal campaign progress crash-safely into "
                           "DIR (enables `repro resume DIR`)")
-    sub.add_argument("--max-retries", type=int, default=3,
+    sub.add_argument("--max-retries", type=_non_negative_int, default=3,
                      help="extra attempts per window chunk before "
                           "bisecting toward quarantine (default 3)")
-    sub.add_argument("--chunk-timeout", type=float, default=None,
+    sub.add_argument("--chunk-timeout", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="hard watchdog deadline per chunk attempt "
                           "(default: soft deadline only, derived from "
                           "golden-pass throughput)")
-    sub.add_argument("--chunk-windows", type=int, default=8,
+    sub.add_argument("--chunk-windows", type=_positive_int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
 
@@ -217,15 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("name", choices=sorted(PROFILES))
     campaign.add_argument("--scheme", default="faulthound",
                           choices=sorted(SCHEMES))
-    campaign.add_argument("--faults", type=int, default=60)
+    campaign.add_argument("--faults", type=_positive_int, default=60)
     campaign.add_argument("--seed", type=int, default=3)
-    campaign.add_argument("--batch-lanes", type=_positive_int, default=1,
-                          dest="batch_lanes", metavar="K",
-                          help="group K fault windows into one batched "
-                               "tandem lane batch (dormant faults skip "
-                               "the clone and faulty re-execution); "
-                               "results are bit-for-bit identical to "
-                               "the default scalar path (K=1)")
     _add_exec_flags(campaign)
     _add_supervisor_flags(campaign)
 
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directory's crash-safe journal")
     resume.add_argument("run_dir", help="the --run-dir of the "
                                         "interrupted campaign")
-    resume.add_argument("--jobs", type=int, default=None,
+    resume.add_argument("--jobs", type=_positive_int, default=None,
                         help="override the original worker count")
     resume.add_argument("--emit-events", metavar="PATH", default=None,
                         help="write this resume's event log to PATH")
@@ -444,8 +449,7 @@ def _campaign_config(args) -> ExperimentConfig:
         dynamic_target=400 + (args.faults + 2) * window,
         num_faults=args.faults, seed=args.seed,
         warmup_commits=400, window_commits=window,
-        max_window_cycles=60_000,
-        batch_lanes=getattr(args, "batch_lanes", 1))
+        max_window_cycles=60_000)
 
 
 def _save_campaign_args(args) -> None:
@@ -459,7 +463,6 @@ def _save_campaign_args(args) -> None:
     document = {"command": "campaign", "name": args.name,
                 "scheme": args.scheme, "faults": args.faults,
                 "seed": args.seed, "jobs": args.jobs,
-                "batch_lanes": getattr(args, "batch_lanes", 1),
                 "no_cache": bool(args.no_cache),
                 "max_retries": args.max_retries,
                 "chunk_timeout": args.chunk_timeout,
@@ -544,15 +547,9 @@ def _cmd_resume(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: unreadable {manifest}: {exc}", file=sys.stderr)
         return 1
-    if int(saved.get("batch_lanes", 1)) < 1:
-        print(f"error: {manifest} records batch_lanes="
-              f"{saved.get('batch_lanes')}; must be >= 1",
-              file=sys.stderr)
-        return 1
     namespace = argparse.Namespace(
         command="campaign", name=saved["name"], scheme=saved["scheme"],
         faults=saved["faults"], seed=saved["seed"],
-        batch_lanes=int(saved.get("batch_lanes", 1)),
         jobs=args.jobs if args.jobs is not None else saved.get("jobs"),
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,

@@ -1,18 +1,19 @@
-"""Batched lockstep fault execution: dormant lanes over a shared golden core.
+"""The lazy faulty twin: dormant lanes over the shared golden core.
 
-The scalar tandem path (:meth:`TandemClassifier._classify_one`) pays, for
-*every* planned fault, one full ``clone()`` plus a complete faulty-side
+The eager tandem path (:meth:`TandemClassifier._classify_one`) pays, for
+every planned fault, one full ``clone()`` plus a complete faulty-side
 re-execution of the run-window — even though, until the flipped bit is
 actually *read*, the faulty twin is cycle-for-cycle identical to the
 golden core it was cloned from. The paper's AVF results make that the
 common case: most register-file faults land in dead or free registers and
 stay invisible forever.
 
-This module exploits it. A :class:`LaneBatch` takes the group of faults
-planned for consecutive windows, registers each as a **dormant lane** —
-logically the golden core *plus a one-entry patch* (the XOR'd physical
-register value, or the XOR'd rename mapping) — and steps only the golden
-core. Dormancy is maintained by two exact mechanisms:
+Every REGFILE and RENAME window therefore runs as a :class:`Lane`
+(:meth:`TandemClassifier._classify_window`): the fault is registered as a
+**dormant lane** — logically the golden core *plus a one-entry patch*
+(the XOR'd physical register value, or the XOR'd rename mapping) — and
+only the golden core is stepped. Dormancy is maintained by two exact
+mechanisms:
 
 - a **divergence probe**, run before every golden step, that decides
   whether the coming cycle *could read* the patched entry: a numpy scan
@@ -31,16 +32,18 @@ core. Dormancy is maintained by two exact mechanisms:
 
 Only when the probe fires does the lane **materialize**: a real
 ``clone()`` of the golden core at the last pre-divergence cycle (its
-trajectory up to there is provably identical to the scalar faulty
+trajectory up to there is provably identical to the eager faulty
 twin's), the patch applied directly, and the window finished on the
-existing scalar path — so batched results are bit-for-bit equal to
-``batch_lanes=1`` by construction, not by tolerance.
+eager comparison tail — so results are bit-for-bit equal to the eager
+path by construction, not by tolerance. LSQ faults have no dormant
+phase (whether one even lands is decided by faulty-side stepping) and
+stay on the eager path.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -48,7 +51,6 @@ from ..core.screening import NullScreeningUnit
 from ..pipeline.core import PipelineCore
 from ..pipeline.regfile import PhysicalRegisterFile
 from ..pipeline.rename import RenameTable
-from .classifier import LaneStats, WindowResult, _EventBaseline
 from .injector import FaultInjector
 from .model import FaultRecord, FaultSite, RegStatus
 
@@ -57,29 +59,18 @@ from .model import FaultRecord, FaultSite, RegStatus
 # SoA state mirrors
 # ----------------------------------------------------------------------
 class CoreSoAView:
-    """Structure-of-arrays mirrors of a core's fault-reachable state.
+    """Structure-of-arrays mirror of a core's in-flight source operands.
 
-    Two consumers with different cost profiles share the view:
-
-    - the dormant-lane divergence probe needs only the flattened source-
-      operand matrix (:meth:`src_matrix`), rebuilt at most once per
-      cycle (memoised on a cheap activity stamp);
-    - equivalence tests and debugging compare two cores field-by-field
-      (:meth:`refresh` + :meth:`divergent_fields`) across regfile
-      values/ready bits and the ROB/LSQ scalar columns.
-
-    Mirrors are memoised on ``(cycle, uid, committed, squashed,
-    issued)``; out-of-band mutation (a direct ``inject_prf_bit``)
-    doesn't move the stamp, so such callers pass ``force=True``.
+    The dormant-lane divergence probe needs only the flattened source-
+    operand matrix (:meth:`src_matrix`), rebuilt at most once per cycle:
+    it is memoised on the activity stamp ``(cycle, uid, committed,
+    squashed, issued)``.
     """
-
-    _STATE_CODES: dict = {}
 
     def __init__(self, core: PipelineCore):
         self.core = core
         self._srcs_at: Optional[tuple] = None
         self._srcs: Optional[np.ndarray] = None
-        self._built_at: Optional[tuple] = None
 
     def _stamp(self) -> tuple:
         core = self.core
@@ -87,7 +78,6 @@ class CoreSoAView:
         return (core.cycle, core._uid, stats.committed, stats.squashed,
                 stats.issued)
 
-    # -- probe path ----------------------------------------------------
     def src_matrix(self) -> np.ndarray:
         """Flattened physical source operands of every ROB-resident op
         (all threads). Every PRF value read in the core — issue-stage
@@ -110,72 +100,6 @@ class CoreSoAView:
         """Vectorized probe: may any in-flight op read physical *reg*?"""
         srcs = self.src_matrix()
         return srcs.size > 0 and bool((srcs == reg).any())
-
-    # -- compare path --------------------------------------------------
-    FIELDS = ("prf_values", "prf_ready", "rob_uid", "rob_state",
-              "rob_dest", "rob_result", "rob_result_ok", "rob_addr",
-              "lsq_uid", "lsq_addr", "lsq_value", "lsq_value_ok")
-
-    @classmethod
-    def _state_code(cls, state) -> int:
-        code = cls._STATE_CODES.get(state)
-        if code is None:
-            code = cls._STATE_CODES[state] = len(cls._STATE_CODES)
-        return code
-
-    def refresh(self, force: bool = False) -> "CoreSoAView":
-        """(Re)build the full scalar-field mirrors."""
-        stamp = self._stamp()
-        if not force and stamp == self._built_at:
-            return self
-        core = self.core
-        self.prf_values = np.array(core.prf.values, dtype=np.uint64)
-        self.prf_ready = np.array(core.prf.ready, dtype=bool)
-        rob_uid: List[int] = []
-        rob_state: List[int] = []
-        rob_dest: List[int] = []
-        rob_result: List[int] = []
-        rob_result_ok: List[bool] = []
-        rob_addr: List[int] = []
-        lsq_uid: List[int] = []
-        lsq_addr: List[int] = []
-        lsq_value: List[int] = []
-        lsq_value_ok: List[bool] = []
-        for thread in core.threads:
-            for op in thread.rob:
-                rob_uid.append(op.uid)
-                rob_state.append(self._state_code(op.state))
-                rob_dest.append(-1 if op.phys_dest is None else op.phys_dest)
-                rob_result.append(0 if op.result is None else op.result)
-                rob_result_ok.append(op.result is not None)
-                rob_addr.append(-1 if op.eff_addr is None else op.eff_addr)
-            for op in thread.lsq:
-                lsq_uid.append(op.uid)
-                lsq_addr.append(-1 if op.eff_addr is None else op.eff_addr)
-                lsq_value.append(0 if op.store_value is None
-                                 else op.store_value)
-                lsq_value_ok.append(op.store_value is not None)
-        self.rob_uid = np.asarray(rob_uid, dtype=np.int64)
-        self.rob_state = np.asarray(rob_state, dtype=np.int8)
-        self.rob_dest = np.asarray(rob_dest, dtype=np.int32)
-        self.rob_result = np.asarray(rob_result, dtype=np.uint64)
-        self.rob_result_ok = np.asarray(rob_result_ok, dtype=bool)
-        self.rob_addr = np.asarray(rob_addr, dtype=np.int64)
-        self.lsq_uid = np.asarray(lsq_uid, dtype=np.int64)
-        self.lsq_addr = np.asarray(lsq_addr, dtype=np.int64)
-        self.lsq_value = np.asarray(lsq_value, dtype=np.uint64)
-        self.lsq_value_ok = np.asarray(lsq_value_ok, dtype=bool)
-        self._built_at = stamp
-        return self
-
-    def divergent_fields(self, other: "CoreSoAView",
-                         force: bool = False) -> List[str]:
-        """Names of the mirrored fields on which the two cores differ."""
-        self.refresh(force=force)
-        other.refresh(force=force)
-        return [name for name in self.FIELDS
-                if not np.array_equal(getattr(self, name),
-                                      getattr(other, name))]
 
 
 # ----------------------------------------------------------------------
@@ -349,79 +273,28 @@ class LaneState(enum.Enum):
     MATERIALIZED = "materialized"
 
 
-class LaneBatch:
-    """Runs one group of planned faults against a shared golden core.
+class Lane:
+    """One planned REGFILE or RENAME fault held as a dormant patch on
+    the golden core.
 
-    Lanes are registered up front (arming a lane records its patch
-    coordinates, event baseline and ``reg_status`` — exactly what the
-    scalar ``injector.apply`` records at injection time) and stepped in
-    lockstep behind the golden core: because the campaign planner tiles
-    the commit space one window per fault, at any golden cycle at most
-    one lane's window is open, and "lockstep" degenerates to sharing the
-    single golden pass across every lane — which is precisely where the
-    win lives: a lane that never leaves dormancy costs zero clones, zero
-    faulty-side stepping and zero snapshot comparisons.
-
-    LSQ faults fall back to the scalar path wholesale (counted in
-    ``batch_fallbacks``): whether such a fault even *lands* is decided
-    by faulty-side stepping (the executed-entry retry loop), so there is
-    no dormant phase to elide.
+    Arming records what the eager ``injector.apply`` records at
+    injection time (``reg_status``, ``applied``) and the patch
+    coordinates, but touches no core state: a dormant lane IS the golden
+    core plus this patch descriptor. :meth:`run_window` then steps the
+    golden core to the window's capture point and reports whether the
+    lane had to materialize a real faulty twin on the way.
     """
 
-    def __init__(self, classifier):
-        self.classifier = classifier
-        self.stats = LaneStats()
-
-    # -- public entry --------------------------------------------------
-    def run(self, golden: PipelineCore,
-            records: Sequence[FaultRecord]) -> List[WindowResult]:
-        results = [self._run_lane(golden, record) for record in records]
-        # Amortised golden audit: the scalar path runs the armed
-        # sanitizer after every window; one batch is audited as a unit,
-        # so a (hypothetical) simulator bug surfaces at most K windows
-        # later while the dormant fast path sheds the per-window O(ROB)
-        # structural scan. Classification results are unaffected either
-        # way — the sanitizer only raises, it never feeds results.
-        self.classifier._check_golden(golden)
-        self._fold_stats()
-        return results
-
-    def _fold_stats(self) -> None:
-        classifier = self.classifier
-        classifier.lane_stats.merge(self.stats)
-        metrics = classifier.metrics
-        if metrics.enabled:
-            metrics.counter("lanes_dormant_cycles").inc(
-                self.stats.dormant_cycles)
-            metrics.counter("lane_divergences").inc(self.stats.materialized)
-            metrics.counter("batch_fallbacks").inc(self.stats.fallbacks)
-
-    # -- one lane ------------------------------------------------------
-    def _run_lane(self, golden: PipelineCore,
-                  record: FaultRecord) -> WindowResult:
-        classifier = self.classifier
-        self.stats.lanes += 1
-        if record.site is FaultSite.LSQ:
-            self.stats.fallbacks += 1
-            return classifier._classify_one(golden, record)
-        result = WindowResult(record=record)
-        if not classifier._advance_to(golden, record.inject_at_commit):
-            result.applied = False
-            record.applied = False
-            return result
-
-        # Arm the lane. A dormant lane IS the golden core plus this
-        # patch descriptor; registration is the injection.
-        inject_cycle = golden.cycle
-        before = _EventBaseline.of(golden)
-        triggers_before = len(golden.screen_trigger_cycles)
-        state = LaneState.DORMANT
+    def __init__(self, golden: PipelineCore, record: FaultRecord):
+        self.record = record
+        self.state = LaneState.DORMANT
+        #: Golden cycles the lane spent dormant (set by run_window).
+        self.dormant_cycles = 0
         if record.site is FaultSite.REGFILE:
-            # what the scalar injector.apply records, computed read-only
             record.reg_status = FaultInjector.reg_status(golden, record.reg)
             reg = record.reg % golden.prf.num_regs
-            watch = _PrfWatch(golden.prf, reg)
-            probe = _RegfileProbe(
+            self.watch = _PrfWatch(golden.prf, reg)
+            self.probe = _RegfileProbe(
                 golden, reg,
                 free_at_arm=record.reg_status is RegStatus.FREE)
         else:
@@ -430,23 +303,30 @@ class LaneBatch:
             if (old ^ (1 << record.bit)) % rat.num_phys == old:
                 # identity flip: the wrap leaves the mapping unchanged,
                 # so the lanes are equal from cycle zero
-                state = LaneState.CONVERGED
-            watch = _RatWatch(rat, record.logical)
-            probe = _RenameProbe(golden, record.thread_id, record.logical)
+                self.state = LaneState.CONVERGED
+            self.watch = _RatWatch(rat, record.logical)
+            self.probe = _RenameProbe(golden, record.thread_id,
+                                      record.logical)
         record.applied = True
 
-        targets = {t.thread_id: t.committed_count + classifier.window_commits
-                   for t in golden.threads}
-        golden.set_snapshot_targets(targets)
-        bound = golden.cycle + classifier.max_window_cycles
+    def run_window(self, golden: PipelineCore,
+                   bound: int) -> Optional[PipelineCore]:
+        """Step *golden* to its armed capture point (or cycle *bound*).
+
+        Returns the materialized faulty twin — cloned at the first cycle
+        that could read the patch, and not yet stepped past it — or None
+        when the lane stayed dormant or converged to the end.
+        """
+        state = self.state
+        probe, watch = self.probe, self.watch
         faulty: Optional[PipelineCore] = None
-        dormant_until = golden.cycle
+        dormant_from = dormant_until = golden.cycle
         if state is LaneState.DORMANT:
             watch.arm()
         try:
             # One continuous run_to_capture-shaped loop: the elision
             # signature must span the whole window, or golden's elide
-            # pattern (and cycles_elided) would diverge from the scalar
+            # pattern (and cycles_elided) would diverge from the eager
             # path's single golden run_to_capture call.
             signature = -1
             step = golden.step
@@ -455,10 +335,10 @@ class LaneBatch:
                 if state is LaneState.DORMANT and probe.may_read():
                     # First cycle that could observe the patch: clone a
                     # real twin pre-step (its trajectory so far is
-                    # provably identical to the scalar faulty core's).
+                    # provably identical to the eager faulty core's).
                     watch.disarm()
                     dormant_until = golden.cycle
-                    faulty = self._materialize(golden, record)
+                    faulty = self._materialize(golden)
                     state = LaneState.MATERIALIZED
                 current = golden.activity_signature()
                 if (current == signature
@@ -479,31 +359,16 @@ class LaneBatch:
             watch.disarm()
         if state is LaneState.DORMANT:
             dormant_until = golden.cycle
-        self.stats.dormant_cycles += dormant_until - inject_cycle
+        self.state = state
+        self.dormant_cycles = dormant_until - dormant_from
+        return faulty
 
-        if state is LaneState.MATERIALIZED:
-            self.stats.materialized += 1
-            # The scalar faulty run's cycle budget is measured from the
-            # injection cycle, which is exactly this window's bound.
-            faulty.run_to_capture(bound - faulty.cycle)
-            return classifier._compare_window(golden, faulty, record, before,
-                                              triggers_before, inject_cycle)
-        if state is LaneState.CONVERGED:
-            self.stats.converged += 1
-        self.stats.dormant += 1
-        # Dormant (or converged) to the end: the faulty lane is the
-        # golden core — compare golden against itself, which reproduces
-        # every scalar formula (zero event deltas except declared-fault
-        # background, state_equal iff all snapshots captured, MASKED).
-        return classifier._compare_window(golden, golden, record, before,
-                                          triggers_before, inject_cycle)
-
-    def _materialize(self, golden: PipelineCore,
-                     record: FaultRecord) -> PipelineCore:
+    def _materialize(self, golden: PipelineCore) -> PipelineCore:
         """A real faulty twin at the last pre-divergence cycle: clone
         golden (targets and any mid-window snapshots ride along) and
         re-apply the patch directly. ``reg_status`` was already recorded
         at arm time, so this must not go through ``injector.apply``."""
+        record = self.record
         faulty = golden.clone()
         if record.site is FaultSite.REGFILE:
             faulty.inject_prf_bit(record.reg, record.bit)
@@ -513,4 +378,4 @@ class LaneBatch:
         return faulty
 
 
-__all__ = ["CoreSoAView", "LaneBatch", "LaneState", "assert_unwatched"]
+__all__ = ["CoreSoAView", "Lane", "LaneState", "assert_unwatched"]

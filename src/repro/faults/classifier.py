@@ -11,16 +11,19 @@ committed-instruction boundary (the paper's run-window), and compares:
 - anything else                       →  **SDC**
 
 The golden core is then re-used for the next fault (the paper's trick of
-serving all injections from one benchmark run).
+serving all injections from one benchmark run). REGFILE and RENAME
+windows fork the faulty copy lazily — only once the flipped bit may be
+read (:mod:`repro.faults.batched`) — with bit-for-bit the same verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.metrics import LATENCY_CYCLE_BUCKETS, NULL_METRICS
 from ..pipeline.core import PipelineCore
+from .batched import Lane, LaneState
 from .injector import FaultInjector
 from .model import FaultClass, FaultRecord, FaultSite
 
@@ -52,24 +55,16 @@ class WindowResult:
 
 @dataclass
 class LaneStats:
-    """Lane lifecycle tallies from the batched tandem engine (always
-    maintained, independent of the metrics registry, so equivalence
-    tests can assert e.g. "no masked fault ever materialized")."""
+    """Lazy-twin lifecycle tallies (always maintained, independent of
+    the metrics registry, so equivalence tests can assert e.g. "no
+    masked fault ever materialized")."""
 
-    lanes: int = 0              # lanes processed by the batched engine
+    lanes: int = 0              # windows run by _classify_window
     dormant: int = 0            # lanes classified without a clone
     converged: int = 0          # ... of which via patch-death detection
     materialized: int = 0       # lanes that diverged (lane_divergences)
-    fallbacks: int = 0          # LSQ scalar delegations (batch_fallbacks)
+    fallbacks: int = 0          # LSQ eager delegations (batch_fallbacks)
     dormant_cycles: int = 0     # golden cycles spent with a lane dormant
-
-    def merge(self, other: "LaneStats") -> None:
-        self.lanes += other.lanes
-        self.dormant += other.dormant
-        self.converged += other.converged
-        self.materialized += other.materialized
-        self.fallbacks += other.fallbacks
-        self.dormant_cycles += other.dormant_cycles
 
 
 @dataclass
@@ -104,20 +99,13 @@ class TandemClassifier:
                  max_window_cycles: int = 60_000,
                  lsq_wait_cycles: int = 200,
                  sanitize: bool = True,
-                 batch_lanes: int = 1,
                  metrics=NULL_METRICS):
         self.core_factory = core_factory
         self.injector = injector
         self.window_commits = window_commits
         self.max_window_cycles = max_window_cycles
         self.lsq_wait_cycles = lsq_wait_cycles
-        #: Lane-batch width for the batched tandem engine
-        #: (repro.faults.batched). 1 = the scalar clone-per-fault path;
-        #: K > 1 groups K consecutive windows into one lane batch whose
-        #: dormant lanes skip the clone and the faulty-side re-execution
-        #: entirely. Results are bit-for-bit identical either way.
-        self.batch_lanes = max(1, batch_lanes)
-        #: Cumulative lane lifecycle tallies (empty on the scalar path).
+        #: Cumulative lazy-twin lifecycle tallies.
         self.lane_stats = LaneStats()
         #: Live-telemetry registry (repro.obs.metrics); NULL when off.
         #: Observes only per-window facts, never the golden core's
@@ -164,29 +152,23 @@ class TandemClassifier:
         self._arm_sanitizer(golden)
         for record in skip:
             self._skip_window(golden, record)
-        results: List[WindowResult] = []
-        if self.batch_lanes > 1:
-            for start in range(0, len(records), self.batch_lanes):
-                group = records[start:start + self.batch_lanes]
-                results.extend(self._classify_batch(golden, group))
-        else:
-            for record in records:
-                result = self._classify_one(golden, record)
-                results.append(result)
-        self._record_metrics(results)
+        lanes_before = replace(self.lane_stats)
+        results = [self._classify_window(golden, record)
+                   for record in records]
+        self._record_metrics(results, lanes_before)
         return results
 
-    def _classify_batch(self, golden: PipelineCore,
-                        records: Sequence[FaultRecord]) -> List[WindowResult]:
-        """One lane batch over the shared golden core (imported lazily:
-        repro.faults.batched imports this module)."""
-        from .batched import LaneBatch
-        return LaneBatch(self).run(golden, records)
-
-    def _record_metrics(self, results: Sequence[WindowResult]) -> None:
+    def _record_metrics(self, results: Sequence[WindowResult],
+                        lanes_before: LaneStats) -> None:
         """Fold one run's per-window observations into the registry."""
         if not self.metrics.enabled or not results:
             return
+        lanes = self.lane_stats
+        for name, tally in (("lanes_dormant_cycles", "dormant_cycles"),
+                            ("lane_divergences", "materialized"),
+                            ("batch_fallbacks", "fallbacks")):
+            self.metrics.counter(name).inc(
+                getattr(lanes, tally) - getattr(lanes_before, tally))
         self.metrics.counter("classifier_windows_total").inc(len(results))
         self.metrics.counter("classifier_applied_total").inc(
             sum(1 for r in results if r.applied))
@@ -232,9 +214,10 @@ class TandemClassifier:
         """Advance the golden core through one window without classifying.
 
         Mirrors exactly the golden-side stepping of
-        :meth:`_classify_one` (advance to the injection commit, arm the
-        snapshot targets, run to capture) so a chunk worker's golden core
-        is indistinguishable from the serial one. When the serial run
+        :meth:`_classify_window` and :meth:`_classify_one` (advance to
+        the injection commit, arm the snapshot targets, run to capture)
+        so a chunk worker's golden core is indistinguishable from the
+        serial one. When the serial run
         would have failed to land the fault it leaves golden parked at
         the injection commit; only LSQ faults can fail, and the decision
         depends on faulty-side stepping, so those are probed on a
@@ -246,11 +229,15 @@ class TandemClassifier:
             probe = golden.clone()
             if not self._apply_with_retry(probe, record):
                 return
-        targets = {t.thread_id: t.committed_count + self.window_commits
-                   for t in golden.threads}
-        golden.set_snapshot_targets(targets)
+        golden.set_snapshot_targets(self._window_targets(golden))
         self._run_to_capture(golden)
         self._check_golden(golden)
+
+    def _window_targets(self, golden: PipelineCore) -> Dict[int, int]:
+        """Each thread's capture point: one run-window of commits past
+        the injection point."""
+        return {t.thread_id: t.committed_count + self.window_commits
+                for t in golden.threads}
 
     def _check_golden(self, golden: PipelineCore) -> None:
         """Run the armed sanitizer at a capture point (no-op otherwise).
@@ -266,8 +253,56 @@ class TandemClassifier:
         redirect stalls) are jumped instead of stepped."""
         return core.run_to_commit(total_commits, self.max_window_cycles * 4)
 
+    def _classify_window(self, golden: PipelineCore,
+                         record: FaultRecord) -> WindowResult:
+        """Classify one window on the lazy faulty twin.
+
+        The fault rides the golden pass as a dormant :class:`Lane`; a
+        real twin is cloned only if the lane materializes. A lane that
+        stays dormant (or converges) to the window end IS the golden
+        core, so golden is compared against itself, which reproduces
+        every eager formula (zero event deltas bar the declared-fault
+        background, ``state_equal`` iff all snapshots captured, MASKED).
+        LSQ faults have no dormant phase and take the eager path.
+        """
+        stats = self.lane_stats
+        stats.lanes += 1
+        if record.site is FaultSite.LSQ:
+            stats.fallbacks += 1
+            return self._classify_one(golden, record)
+        result = WindowResult(record=record)
+        if not self._advance_to(golden, record.inject_at_commit):
+            result.applied = False
+            record.applied = False
+            return result
+
+        inject_cycle = golden.cycle
+        before = _EventBaseline.of(golden)
+        triggers_before = len(golden.screen_trigger_cycles)
+        lane = Lane(golden, record)
+        golden.set_snapshot_targets(self._window_targets(golden))
+        # the eager faulty run's cycle budget is measured from the
+        # injection cycle, and so is golden's
+        bound = golden.cycle + self.max_window_cycles
+        faulty = lane.run_window(golden, bound)
+        self._check_golden(golden)
+        stats.dormant_cycles += lane.dormant_cycles
+        if faulty is not None:
+            stats.materialized += 1
+            faulty.run_to_capture(bound - faulty.cycle)
+        else:
+            stats.dormant += 1
+            if lane.state is LaneState.CONVERGED:
+                stats.converged += 1
+            faulty = golden
+        return self._compare_window(golden, faulty, record, before,
+                                    triggers_before, inject_cycle)
+
     def _classify_one(self, golden: PipelineCore,
                       record: FaultRecord) -> WindowResult:
+        """The eager tandem window: clone at injection, run both copies
+        to capture. The LSQ path, and the reference the lazy
+        :meth:`_classify_window` is tested against."""
         result = WindowResult(record=record)
         if not self._advance_to(golden, record.inject_at_commit):
             result.applied = False
@@ -282,10 +317,7 @@ class TandemClassifier:
         inject_cycle = faulty.cycle
         triggers_before = len(faulty.screen_trigger_cycles)
 
-        # Arm both cores to capture each thread's state one run-window of
-        # commits past the injection point.
-        targets = {t.thread_id: t.committed_count + self.window_commits
-                   for t in golden.threads}
+        targets = self._window_targets(golden)
         golden.set_snapshot_targets(targets)
         faulty.set_snapshot_targets(targets)
         self._run_to_capture(golden)
@@ -301,14 +333,11 @@ class TandemClassifier:
                         inject_cycle: int) -> WindowResult:
         """Classify one finished window from its golden/faulty pair.
 
-        The comparison tail shared by the scalar path and the batched
-        engine's materialized lanes — and, with ``faulty is golden``, the
-        batched engine's dormant/converged lanes: a lane whose patch was
-        never read (and, if overwritten, overwritten with a value
-        computed from un-patched state) is the golden core, and feeding
-        golden for both sides reproduces every scalar formula exactly
-        (zero event deltas bar the declared-fault count, ``state_equal``
-        iff all snapshots captured, never noisy — masked).
+        The comparison tail shared by the eager path and materialized
+        lazy lanes — and, with ``faulty is golden``, by dormant/converged
+        lanes: a lane whose patch was never read (and, if overwritten,
+        overwritten with a value computed from un-patched state) is the
+        golden core.
         """
         result = WindowResult(record=record)
         result.inject_cycle = inject_cycle

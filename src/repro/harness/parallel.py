@@ -111,15 +111,14 @@ def align_chunk_bounds(bounds: Sequence[Tuple[int, int]],
     """Snap chunk cuts so faults sharing an ``inject_at_commit`` (one
     run-window) never split across chunks.
 
-    A raw :func:`chunk_bounds` cut through the middle of a window both
-    wastes a checkpoint restore (two workers replay the same golden
-    window) and would split a lane batch, so every producer of window
-    chunks runs its bounds through this. Each interior cut is snapped
-    *down* to the start of the window it lands in; cuts that collapse
-    onto each other drop the resulting empty chunk. Bounds may cover
-    several non-contiguous runs (the supervisor's gap list) — cuts only
-    move within their own run, so covered/quarantined windows between
-    runs are never re-entered. Plans with all-distinct injection points
+    A raw :func:`chunk_bounds` cut through the middle of a window wastes
+    a checkpoint restore (two workers replay the same golden window),
+    so every producer of window chunks runs its bounds through this.
+    Each interior cut is snapped *down* to the start of the window it
+    lands in; cuts that collapse onto each other drop the resulting
+    empty chunk. Bounds may cover several non-contiguous runs (the
+    supervisor's gap list) — cuts only move within their own run, so
+    covered/quarantined windows between runs are never re-entered. Plans with all-distinct injection points
     (every evenly spaced campaign) pass through unchanged, keeping chunk
     identities — cache keys, journal chunk keys — stable.
     """
@@ -409,17 +408,14 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
 def window_chunk_task(args) -> List[WindowResult]:
     """Classify ``records[lo:hi]`` in a chunk worker.
 
-    With a chunk-boundary :class:`CoreCheckpoint` (the 8th task element)
-    the worker restores it and starts classifying immediately; without
-    one it falls back to the golden-only fast-forward through
-    ``records[:lo]`` (the legacy prefix-replay path, kept as the
-    checkpoint-free reference). Scheme None = baseline characterisation.
+    *args* is ``(cfg, hw, benchmark, scheme, records, lo, hi,
+    checkpoint)``. With a chunk-boundary :class:`CoreCheckpoint` the
+    worker restores it and starts classifying immediately; with
+    ``checkpoint=None`` it falls back to the golden-only fast-forward
+    through ``records[:lo]`` (prefix replay, the checkpoint-free
+    reference). Scheme None = baseline characterisation.
     """
-    if len(args) == 7:      # legacy 7-tuple: no checkpoint
-        cfg, hw, benchmark, scheme, records, lo, hi = args
-        checkpoint = None
-    else:
-        cfg, hw, benchmark, scheme, records, lo, hi, checkpoint = args
+    cfg, hw, benchmark, scheme, records, lo, hi, checkpoint = args
     with worker_task_span("worker:window_chunk", benchmark=benchmark,
                           scheme=scheme or "baseline", lo=lo, hi=hi,
                           checkpointed=checkpoint is not None):

@@ -59,9 +59,9 @@ class CoreCheckpoint:
         pickling reads but never mutates it, so the dispatcher keeps
         advancing the same golden core after each capture.
 
-        The batched tandem engine arms unpicklable write-watch shadows
-        on the golden core *inside* a window and always disarms them
-        before the window ends; captures happen strictly between
+        The lazy faulty twin arms unpicklable write-watch shadows on the
+        golden core *inside* a window and always disarms them before the
+        window ends; captures happen strictly between
         windows, and the guard below turns any violation into a clear
         error instead of a baffling pickle failure. (The core's lazily
         built SoA mirror is dropped by ``__getstate__`` and rebuilt on

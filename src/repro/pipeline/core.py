@@ -421,12 +421,11 @@ class PipelineCore:
             stats.bind_cycle_source(self)
 
     def soa_view(self):
-        """This core's structure-of-arrays state mirror
+        """This core's structure-of-arrays source-operand mirror
         (:class:`repro.faults.batched.CoreSoAView`), built lazily on
-        first use and cached — the batched tandem engine's divergence
-        probe refreshes it at most once per cycle. Imported lazily:
-        repro.faults.batched imports the classifier, which imports this
-        module."""
+        first use and cached — the lazy faulty twin's divergence probe
+        rebuilds it at most once per cycle. Imported lazily:
+        repro.faults.batched imports this module."""
         view = self._soa_view
         if view is None:
             from ..faults.batched import CoreSoAView

@@ -1,23 +1,25 @@
-"""Batched lockstep tandem engine tests (``repro.faults.batched``).
+"""Lazy faulty twin tests (``repro.faults.batched``).
 
-The tentpole contract: grouping faults into lane batches is a pure
-accelerator. Characterisation windows, coverage results, Figure 11
-outcomes, audit aggregates and the golden core's own evolution
-(``cycles_elided`` included) are bit-for-bit identical for any
-``batch_lanes`` — serial, parallel-chunked and supervised alike — and
-masked faults on free registers never leave dormancy (never pay a
-clone).
+The contract: the lazy twin is a pure accelerator over the eager
+clone-per-window path. Characterisation windows, coverage results,
+Figure 11 outcomes, audit aggregates and the golden core's own evolution
+(``cycles_elided`` included) are bit-for-bit identical to the eager
+reference — serial, checkpointed-chunk and supervised alike, on every
+profile — and masked faults on free registers never leave dormancy
+(never pay a clone).
 """
 
-from dataclasses import replace
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import _campaign_config
 from repro.config import HardwareConfig
 from repro.core.screening import NullScreeningUnit, ScreeningUnit
-from repro.faults.batched import CoreSoAView, LaneState, assert_unwatched
+from repro.faults.batched import LaneState, assert_unwatched
 from repro.faults.campaign import Campaign
+from repro.faults.classifier import TandemClassifier
 from repro.faults.model import (FaultClass, FaultRecord, FaultSite,
                                 RegStatus)
 from repro.harness.experiment import (SCHEMES, ExperimentConfig,
@@ -35,10 +37,16 @@ from repro.workloads.profiles import PROFILES
 _TINY = ExperimentConfig(benchmarks=("mcf",), dynamic_target=3_000,
                          num_faults=12, warmup_commits=200,
                          window_commits=100)
-#: Same campaign, classified through the batched tandem engine. 5 does
-#: not divide 12, so the last batch is a partial group — the ragged
-#: edge rides along in every equivalence check below.
-_BATCHED = replace(_TINY, batch_lanes=5)
+
+
+@contextmanager
+def eager_reference():
+    """Classify every window on the eager clone-per-window path — the
+    reference the lazy twin must reproduce bit-for-bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TandemClassifier, "_classify_window",
+                      TandemClassifier._classify_one)
+        yield
 
 
 def _char_signature(result):
@@ -58,93 +66,114 @@ def _cov_signature(result):
 
 def _golden_signature(core):
     """Everything observable about the shared golden core after a run —
-    the batched engine borrows it for dormant lanes, so its evolution
-    must be indistinguishable from the scalar path's."""
+    the lazy twin borrows it for dormant lanes, so its evolution must be
+    indistinguishable from the eager path's."""
     return (core.cycle, core.cycles_elided, core.stats.summary(),
             core.arch_snapshot(),
             tuple((t.arch_pc, t.committed_count, t.halted)
                   for t in core.threads))
 
 
+def _serial_campaign(cfg, benchmark="mcf"):
+    ctx = ExperimentContext(cfg, jobs=1)
+    _, characterization = ctx.campaign(benchmark)
+    coverage = ctx.coverage(benchmark, "faulthound")
+    return characterization, coverage
+
+
 # ----------------------------------------------------------------------
-# the acceptance bar: batch_lanes 1 vs K, every execution path
+# the acceptance bar: lazy default vs eager reference, every path
 # ----------------------------------------------------------------------
 class TestBatchedEquivalence:
     @pytest.fixture(scope="class")
-    def scalar(self):
-        ctx = ExperimentContext(_TINY, jobs=1)
-        _, characterization = ctx.campaign("mcf")
-        coverage = ctx.coverage("mcf", "faulthound")
-        return characterization, coverage
+    def eager(self):
+        with eager_reference():
+            return _serial_campaign(_TINY)
 
     @pytest.fixture(scope="class")
-    def batched(self):
-        ctx = ExperimentContext(_BATCHED, jobs=1)
-        _, characterization = ctx.campaign("mcf")
-        coverage = ctx.coverage("mcf", "faulthound")
-        return characterization, coverage
+    def lazy(self):
+        return _serial_campaign(_TINY)
 
-    def test_characterization_bit_for_bit(self, scalar, batched):
-        assert _char_signature(batched[0]) == _char_signature(scalar[0])
+    def test_characterization_bit_for_bit(self, eager, lazy):
+        assert _char_signature(lazy[0]) == _char_signature(eager[0])
 
-    def test_coverage_bit_for_bit(self, scalar, batched):
-        assert _cov_signature(batched[1]) == _cov_signature(scalar[1])
+    def test_coverage_bit_for_bit(self, eager, lazy):
+        assert _cov_signature(lazy[1]) == _cov_signature(eager[1])
 
-    def test_audit_aggregates_bit_for_bit(self, scalar, batched):
+    def test_audit_aggregates_bit_for_bit(self, eager, lazy):
         for phase, slot in (("characterize", 0), ("coverage", 1)):
-            want = audit_aggregates(audit_records(scalar[slot], phase))
-            got = audit_aggregates(audit_records(batched[slot], phase))
+            want = audit_aggregates(audit_records(eager[slot], phase))
+            got = audit_aggregates(audit_records(lazy[slot], phase))
             assert got == want
 
     def test_golden_core_evolution_matches(self):
         # The dormant fast path shares the golden core across lanes; its
         # cycle count, event-skip tally (cycles_elided) and architectural
-        # state must come out exactly as the scalar path leaves them.
-        goldens, stats = [], []
-        for cfg in (_TINY, _BATCHED):
-            ctx = ExperimentContext(cfg, jobs=1)
+        # state must come out exactly as the eager path leaves them.
+        def run():
+            ctx = ExperimentContext(_TINY, jobs=1)
             campaign = ctx.build_campaign("mcf")
             classifier = campaign.classifier(campaign.baseline_factory)
             golden = campaign.baseline_factory()
             classifier.run([r.fresh_copy() for r in campaign.records],
                            golden=golden)
-            goldens.append(golden)
-            stats.append(classifier.lane_stats)
-        assert _golden_signature(goldens[1]) == _golden_signature(goldens[0])
-        # scalar path never enters the lane engine ...
-        assert stats[0].lanes == 0
-        # ... the batched path routes every record through it, and LSQ
-        # faults (no dormant phase to elide) delegate to the scalar path
-        assert stats[1].lanes == _TINY.num_faults
-        lsq = sum(1 for r in ExperimentContext(_BATCHED, jobs=1)
+            return golden, classifier.lane_stats
+
+        with eager_reference():
+            eager_golden, eager_stats = run()
+        lazy_golden, lazy_stats = run()
+        assert _golden_signature(lazy_golden) \
+            == _golden_signature(eager_golden)
+        # the eager path never enters the lane engine ...
+        assert eager_stats.lanes == 0
+        # ... the lazy path routes every record through it, and LSQ
+        # faults (no dormant phase to elide) delegate to the eager path
+        assert lazy_stats.lanes == _TINY.num_faults
+        lsq = sum(1 for r in ExperimentContext(_TINY, jobs=1)
                   .build_campaign("mcf").records
                   if r.site is FaultSite.LSQ)
-        assert stats[1].fallbacks == lsq
+        assert lazy_stats.fallbacks == lsq
 
-    def test_parallel_chunks_match_scalar_serial(self, scalar):
-        ctx = ExperimentContext(_BATCHED, jobs=3)
+    def test_parallel_chunks_match_scalar_serial(self, eager):
+        ctx = ExperimentContext(_TINY, jobs=3)
         campaign = ctx.build_campaign("mcf")
         fresh = [r.fresh_copy() for r in campaign.records]
         bounds = align_chunk_bounds(chunk_bounds(len(fresh), 3), fresh)
-        checkpoints = chunk_checkpoints(_BATCHED, ctx.hw, "mcf", None,
+        checkpoints = chunk_checkpoints(_TINY, ctx.hw, "mcf", None,
                                         fresh, bounds, ctx=ctx, jobs=3)
         chunks = ctx._executor.map(window_chunk_task, [
-            (_BATCHED, ctx.hw, "mcf", None, fresh, lo, hi, checkpoint)
+            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, checkpoint)
             for (lo, hi), checkpoint in zip(bounds, checkpoints)])
         windows = [window for chunk in chunks for window in chunk]
-        assert windows == scalar[0].characterization
+        assert windows == eager[0].characterization
 
-    def test_supervised_pool_matches_scalar_serial(self, scalar, tmp_path):
+    def test_supervised_pool_matches_scalar_serial(self, eager, tmp_path):
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),
                          run_dir=tmp_path / "run")
-        ctx = ExperimentContext(_BATCHED, jobs=3, supervisor=sup)
+        ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
         _, characterization = ctx.campaign("mcf")
         coverage = ctx.coverage("mcf", "faulthound")
         sup.close()
         assert sup.status == "complete" and sup.exit_code == 0
         assert (_char_signature(characterization)
-                == _char_signature(scalar[0]))
-        assert _cov_signature(coverage) == _cov_signature(scalar[1])
+                == _char_signature(eager[0]))
+        assert _cov_signature(coverage) == _cov_signature(eager[1])
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_lazy_matches_eager_on_every_profile(profile):
+    # The bench scale of `repro campaign P --faults 8` (faulthound): the
+    # geometry the end-to-end benchmark classifies on every profile.
+    cfg = _campaign_config(SimpleNamespace(name=profile, faults=8,
+                                           seed=101))
+    with eager_reference():
+        eager = _serial_campaign(cfg, profile)
+    lazy = _serial_campaign(cfg, profile)
+    assert _char_signature(lazy[0]) == _char_signature(eager[0])
+    assert _cov_signature(lazy[1]) == _cov_signature(eager[1])
+    for phase, slot in (("characterize", 0), ("coverage", 1)):
+        assert (audit_aggregates(audit_records(lazy[slot], phase))
+                == audit_aggregates(audit_records(eager[slot], phase)))
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +193,7 @@ class TestLaneLifecycle:
 
         campaign = Campaign("mcf", factory, hw.phys_regs, 2,
                             num_faults=16, seed=11, warmup_commits=200,
-                            window_commits=50, batch_lanes=4)
+                            window_commits=50)
         import random
         rng = random.Random(11)
         campaign.records = [
@@ -190,6 +219,28 @@ class TestLaneLifecycle:
         assert stats.dormant + stats.converged >= len(free)
         assert stats.dormant_cycles > 0
 
+    def test_golden_sanitizer_audits_every_window(self, monkeypatch):
+        # The lazy path restores the per-window golden audit: one armed
+        # check_invariants call per applied REGFILE/RENAME window.
+        audits = []
+        check = PipelineCore.check_invariants
+
+        def counting_check(core):
+            if core._sanitizer is not None:
+                audits.append(core.cycle)
+            return check(core)
+
+        monkeypatch.setattr(PipelineCore, "check_invariants",
+                            counting_check)
+        campaign = ExperimentContext(_TINY, jobs=1).build_campaign("mcf")
+        records = [r.fresh_copy() for r in campaign.records
+                   if r.site is not FaultSite.LSQ]
+        classifier = campaign.classifier(campaign.baseline_factory)
+        results = classifier.run(records)
+        applied = sum(1 for r in results if r.applied)
+        assert applied == len(records) > 0
+        assert len(audits) == applied
+
     def test_lane_state_enum_is_closed(self):
         # The stats fold and the docs enumerate exactly these phases.
         assert {s.value for s in LaneState} == {
@@ -197,14 +248,14 @@ class TestLaneLifecycle:
 
 
 # ----------------------------------------------------------------------
-# next_event_cycle contract (event-skip soundness under batched lanes)
+# next_event_cycle contract (event-skip soundness under the lazy twin)
 # ----------------------------------------------------------------------
 class TestNextEventCycleContract:
     """The dormant-lane probe leans on event-skip staying sound: a unit
     that acted 'unprompted' between commits could make golden reads the
     SoA probe never saw. Every in-tree screening unit and the delay
-    buffer declare themselves event-free; the batched runs above then
-    confirm the composed engine agrees with scalar stepping."""
+    buffer declare themselves event-free; the equivalence runs above
+    then confirm the composed engine agrees with eager stepping."""
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_screening_units_declare_no_autonomous_events(self, scheme):
@@ -228,7 +279,7 @@ class TestNextEventCycleContract:
 
 
 # ----------------------------------------------------------------------
-# chunk alignment: lane batches and windows never split
+# chunk alignment: windows never split
 # ----------------------------------------------------------------------
 def _plan(commits):
     return [FaultRecord(index=i, site=FaultSite.REGFILE,
@@ -295,28 +346,6 @@ class TestSoAViewAndWatches:
         core = _warm_core()
         assert core.soa_view() is core.soa_view()
         assert core.clone()._soa_view is None
-
-    def test_identical_cores_have_no_divergent_fields(self):
-        core = _warm_core()
-        twin = core.clone()
-        assert CoreSoAView(core).divergent_fields(CoreSoAView(twin)) == []
-
-    def test_prf_mutation_is_detected(self):
-        core = _warm_core()
-        twin = core.clone()
-        twin.inject_prf_bit(3, 17)
-        # out-of-band injection does not move the activity stamp — the
-        # compare path must be forced to re-mirror
-        fields = CoreSoAView(core).divergent_fields(CoreSoAView(twin),
-                                                    force=True)
-        assert fields == ["prf_values"]
-
-    def test_stepping_diverges_rob_columns(self):
-        core = _warm_core()
-        twin = core.clone()
-        twin.run_until_commits(twin.stats.committed + 20)
-        fields = CoreSoAView(core).divergent_fields(CoreSoAView(twin))
-        assert "prf_values" in fields or "rob_uid" in fields
 
     def test_assert_unwatched_passes_on_clean_core(self):
         assert_unwatched(_warm_core())

@@ -243,15 +243,15 @@ class TestChunkOrdering:
             [r.fresh_copy() for r in campaign.records])
 
     def test_chunk_tasks_match_serial_order(self, serial_windows):
-        # Legacy 7-tuple (prefix replay) and checkpointed 8-tuple tasks
-        # must both reproduce the serial classification, in order.
+        # Prefix-replay (checkpoint None) and checkpointed tasks must
+        # both reproduce the serial classification, in order.
         records, serial = serial_windows
         ctx = ExperimentContext(_TINY, jobs=1)
         fresh = [r.fresh_copy() for r in records]
         bounds = chunk_bounds(len(fresh), 3)
-        legacy = [w for lo, hi in bounds for w in window_chunk_task(
-            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi))]
-        assert legacy == serial
+        replayed = [w for lo, hi in bounds for w in window_chunk_task(
+            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, None))]
+        assert replayed == serial
 
         fresh = [r.fresh_copy() for r in records]
         checkpoints = parallel_module.chunk_checkpoints(

@@ -85,15 +85,28 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
-def test_campaign_rejects_batch_lanes_below_one(capsys):
-    """Regression: K < 1 used to be silently clamped to the scalar
-    path; now the parser rejects it outright."""
-    for bad in ("0", "-2"):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["campaign", "mcf",
-                                       "--batch-lanes", bad])
-        assert excinfo.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+_OUT_OF_RANGE = [
+    ("--faults", "-3", ">= 1"),
+    ("--faults", "0", ">= 1"),
+    ("--chunk-windows", "0", ">= 1"),
+    ("--jobs", "0", ">= 1"),
+    ("--max-retries", "-1", ">= 0"),
+    ("--chunk-timeout", "0", "> 0"),
+    ("--chunk-timeout", "-2.5", "> 0"),
+]
+
+
+@pytest.mark.parametrize("flag, bad, bound", _OUT_OF_RANGE,
+                         ids=[f"{flag[2:]}={bad}"
+                              for flag, bad, _ in _OUT_OF_RANGE])
+def test_campaign_rejects_out_of_range_values(capsys, flag, bad, bound):
+    """The parser enforces the bounds the spec compiler's validate_task
+    enforces: an out-of-range value is rejected outright, never clamped,
+    ignored or run as an empty campaign."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["campaign", "mcf", flag, bad])
+    assert excinfo.value.code == 2
+    assert f"{flag}: must be {bound}" in capsys.readouterr().err
 
 
 def test_compile_command_writes_run_layer(tmp_path, capsys):
@@ -229,7 +242,11 @@ def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
     summary = json.loads(out)
     assert summary["poisoned"] == 0
     assert summary["by_type"].get("phase_done", 0) >= 1
-    # resuming a completed run recomputes nothing and prints the same
+    # resuming a completed run recomputes nothing and prints the same;
+    # a batch_lanes field recorded by older versions is ignored
+    manifest = run_dir / "campaign.json"
+    saved = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(dict(saved, batch_lanes=8)))
     code, out, _ = run_cli(capsys, "resume", str(run_dir))
     assert code == 0
     assert out == first

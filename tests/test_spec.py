@@ -105,13 +105,12 @@ class TestValidation:
             compile_spec(_src(defaults={"benchmark": "mcf",
                                         "scheme": "nonesuch"}))
 
-    def test_batch_lanes_below_one_rejected_like_the_cli(self):
-        # the compiler enforces the same bound `--batch-lanes` does:
-        # K < 1 is an error, never a silent clamp to the scalar path
-        for bad in (0, -1):
-            with pytest.raises(SpecError, match="batch_lanes"):
-                compile_spec(_src(defaults={"benchmark": "mcf",
-                                            "batch_lanes": bad}))
+    def test_batch_lanes_is_an_unknown_field(self):
+        # every window runs on the lazy twin; there is no engine knob
+        with pytest.raises(SpecError,
+                           match="unknown task field 'batch_lanes'"):
+            compile_spec(_src(defaults={"benchmark": "mcf",
+                                        "batch_lanes": 4}))
 
     def test_numeric_bounds(self):
         with pytest.raises(SpecError, match="faults"):
@@ -151,12 +150,16 @@ class TestValidation:
 class TestTaskArgv:
     def test_every_knob_is_explicit(self):
         run = compile_spec(_src(defaults={
-            "benchmark": "mcf", "faults": 5, "batch_lanes": 2,
+            "benchmark": "mcf", "faults": 5, "chunk_windows": 2,
             "no_cache": True, "chunk_timeout": 2.5, "jobs": 3}))
         argv = task_argv(run["tasks"][0], run_dir="/r")
         text = " ".join(argv)
         assert argv[0] == "campaign" and argv[1] == "mcf"
-        assert "--batch-lanes 2" in text
+        assert "--chunk-windows 2" in text
+        # keys outside the task fields (a caller's extra batch_lanes,
+        # say) never reach the argv
+        assert task_argv(dict(run["tasks"][0], batch_lanes=1),
+                         run_dir="/r") == argv
         assert "--jobs 3" in text
         assert "--no-cache" in text
         assert "--chunk-timeout 2.5" in text
