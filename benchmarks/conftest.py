@@ -81,17 +81,9 @@ def ctx() -> ExperimentContext:
     yield context
     if events.enabled:
         events.close()
-        write_manifest(
-            manifest_path_for(events.path),
-            build_manifest("run", context.cfg, context.hw,
-                           jobs=context.jobs,
-                           phase_seconds=context.metrics.phase_seconds,
-                           metrics={
-                               "cache_hits": context.metrics.cache_hits,
-                               "cache_misses": context.metrics.cache_misses,
-                               "windows": context.metrics.windows,
-                           }))
-    print(f"\n[repro] {context.metrics.summary()}")
+        write_manifest(manifest_path_for(events.path),
+                       context.run_manifest())
+    print(f"\n[repro] {context.summary()}")
 
 
 @pytest.fixture(scope="session")

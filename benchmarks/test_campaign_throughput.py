@@ -68,10 +68,11 @@ def test_campaign_warm_cache_throughput(benchmark):
         _, cold_char, cold_cov = _campaign_results(jobs=1, cache=cache)
 
         ctx, warm_char, warm_cov = benchmark.pedantic(
-            lambda: _campaign_results(jobs=1, cache=cache),
+            lambda: _campaign_results(
+                jobs=1, cache=ArtifactCache(pathlib.Path(tmp))),
             rounds=1, iterations=1)
-        assert ctx.metrics.cache_hits > 0
-        assert ctx.metrics.cache_misses == 0
+        assert ctx.cache.hits > 0
+        assert ctx.cache.misses == 0
         assert warm_char.throughput.from_cache
         assert warm_char.characterization == cold_char.characterization
         assert warm_cov.outcomes == cold_cov.outcomes

@@ -78,7 +78,7 @@ from .harness import (ArtifactCache, ExperimentConfig, ExperimentContext,
 from .harness.experiment import scheme_unit
 from .isa import assemble
 from .obs import (CampaignMonitor, EventLog, JsonlFollower, MetricsRegistry,
-                  NULL_LOG, aggregates_from_events, build_manifest,
+                  NULL_LOG, aggregates_from_events,
                   format_stage_seconds, load_manifest, manifest_path_for,
                   profiled, read_events, render_status, snapshot_from_events,
                   summarize_events, to_prometheus, validate_events,
@@ -191,14 +191,8 @@ def _session(cfg: ExperimentConfig, args,
         if events.enabled:
             ctx.metrics_registry.emit(events)
             events.close()
-            manifest = build_manifest(
-                "run", ctx.cfg, ctx.hw, jobs=ctx.jobs,
-                phase_seconds=ctx.metrics.phase_seconds,
-                metrics={"cache_hits": ctx.metrics.cache_hits,
-                         "cache_misses": ctx.metrics.cache_misses,
-                         "windows": ctx.metrics.windows,
-                         "events": str(events.path)})
-            write_manifest(manifest_path_for(events.path), manifest)
+            write_manifest(manifest_path_for(events.path),
+                           ctx.run_manifest(events=str(events.path)))
             print(f"events: {events.path}", file=sys.stderr)
 
 
@@ -517,7 +511,7 @@ def _print_campaign(ctx: ExperimentContext, args) -> None:
           f"coverage {100 * coverage.coverage:.1f}%")
     for bin_name, fraction in coverage.breakdown().items():
         print(f"  {bin_name:24s} {100 * fraction:5.1f}%")
-    print(ctx.metrics.summary(), file=sys.stderr)
+    print(ctx.summary(), file=sys.stderr)
 
 
 def _print_quarantine(supervisor) -> None:
@@ -585,7 +579,7 @@ def _cmd_figure(args) -> int:
     with _session(_SCALES[args.scale], args) as ctx:
         result = _FIGURES[args.which](ctx)
         print(result["text"])
-        print(ctx.metrics.summary(), file=sys.stderr)
+        print(ctx.summary(), file=sys.stderr)
         _print_quarantine(ctx.supervisor)
         return ctx.supervisor.exit_code
 

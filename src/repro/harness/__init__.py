@@ -6,7 +6,7 @@ from .diff import (DiffOutcome, Divergence, FuzzCase, FuzzReport,
                    build_case, lockstep_diff, run_case, run_corpus)
 from .experiment import (ExperimentConfig, ExperimentContext, FaultFreeRun,
                          SCHEMES, scheme_unit)
-from .parallel import ContextMetrics, ParallelExecutor
+from .parallel import ParallelExecutor
 from .spec import (SpecError, compile_file, compile_spec, load_run,
                    load_spec, task_argv, task_key)
 from .supervisor import (CampaignAborted, CampaignJournal, EXIT_ABORTED,
@@ -19,7 +19,6 @@ __all__ = [
     "ArtifactCache",
     "CampaignAborted",
     "CampaignJournal",
-    "ContextMetrics",
     "DiffOutcome",
     "Divergence",
     "EXIT_ABORTED",

@@ -12,7 +12,6 @@ faults per benchmark); the paper's scale (50M-instruction SimPoints,
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,15 +23,15 @@ from ..faults import Campaign, CampaignResult
 from ..faults.campaign import ThroughputRecord
 from ..analysis.metrics import fp_rate
 from ..obs.audit import audit_records
-from ..obs.events import NULL_LOG
-from ..obs.metrics import NULL_METRICS, SECONDS_BUCKETS
+from ..obs.events import NULL_LOG, NullEventLog
+from ..obs.metrics import NULL_METRICS
 from ..obs.manifest import build_manifest, manifest_path_for, write_manifest
 from ..pipeline import PipelineCore
 from ..redundancy import dynamic_length, srt_iso_core
 from ..workloads import PROFILES, build_smt_programs
 from .cache import ArtifactCache
 from . import parallel as _parallel
-from .parallel import ContextMetrics, ParallelExecutor
+from .parallel import ParallelExecutor
 from .supervisor import Supervisor
 
 # ----------------------------------------------------------------------
@@ -147,13 +146,13 @@ class ExperimentContext:
         self.jobs = max(1, jobs if jobs is not None
                         else _parallel.default_jobs())
         self.cache = cache
-        #: Structured event log (``repro.obs``); defaults to the no-op
-        #: sink, so phases span/emit unconditionally at zero cost.
-        self.events = events if events is not None else NULL_LOG
+        #: Structured event log (``repro.obs``); defaults to a private
+        #: non-writing sink, so phases span/emit unconditionally and its
+        #: span totals belong to this context alone.
+        self.events = (NullEventLog() if events is None or events is NULL_LOG
+                       else events)
         #: Live-telemetry registry (``repro.obs.metrics``); defaults to
-        #: the no-op NULL registry, same pattern as ``events``. Named
-        #: ``metrics_registry`` because ``metrics`` below is the legacy
-        #: :class:`ContextMetrics` throughput record.
+        #: the no-op NULL registry.
         self.metrics_registry = metrics if metrics is not None \
             else NULL_METRICS
         #: The :class:`~repro.harness.supervisor.Supervisor` every
@@ -168,7 +167,6 @@ class ExperimentContext:
             cache.events = self.events
         if cache is not None and cache.metrics is NULL_METRICS:
             cache.metrics = self.metrics_registry
-        self.metrics = ContextMetrics()
         self._executor = ParallelExecutor(self.jobs, events=self.events,
                                           metrics=self.metrics_registry)
         self._programs: Dict[str, List] = {}
@@ -185,10 +183,6 @@ class ExperimentContext:
             return None
         key = self.cache.key(kind, cfg=self.cfg, hw=self.hw, **parts)
         artefact = self.cache.get(kind, key)
-        if artefact is None:
-            self.metrics.cache_misses += 1
-        else:
-            self.metrics.cache_hits += 1
         self.events.cache_event(kind, key, hit=artefact is not None)
         return artefact
 
@@ -232,10 +226,7 @@ class ExperimentContext:
                 run = self._cache_get("fault_free", benchmark=benchmark,
                                       scheme=scheme)
                 if run is None:
-                    started = time.perf_counter()
                     run = self._run_fault_free(benchmark, scheme)
-                    self.metrics.note_phase("fault_free",
-                                            time.perf_counter() - started)
                     self._cache_put("fault_free", run, benchmark=benchmark,
                                     scheme=scheme)
             self._fault_free[key] = run
@@ -293,10 +284,7 @@ class ExperimentContext:
                 run = self._cache_get("srt", benchmark=benchmark,
                                       coverage=coverage)
                 if run is None:
-                    started = time.perf_counter()
                     run = self._run_srt(benchmark, coverage)
-                    self.metrics.note_phase("srt",
-                                            time.perf_counter() - started)
                     self._cache_put("srt", run, benchmark=benchmark,
                                     coverage=coverage)
             self._srt[key] = run
@@ -340,9 +328,8 @@ class ExperimentContext:
     def campaign(self, benchmark: str) -> Tuple[Campaign, CampaignResult]:
         if benchmark not in self._campaigns:
             with self.events.span("phase:characterize",
-                                  benchmark=benchmark):
+                                  benchmark=benchmark) as span:
                 campaign = self.build_campaign(benchmark)
-                started = time.perf_counter()
                 characterization = self._cache_get("characterize",
                                                    benchmark=benchmark)
                 from_cache = characterization is not None
@@ -367,22 +354,11 @@ class ExperimentContext:
                                         benchmark=benchmark)
                 # keep record identity consistent with the result we serve
                 campaign.records = characterization.records
-                elapsed = time.perf_counter() - started
-                windows = len(characterization.characterization)
-                characterization.throughput = ThroughputRecord(
-                    phase="characterize", windows=windows,
-                    wall_seconds=elapsed, jobs=self.jobs,
-                    from_cache=from_cache,
-                    checkpoints_captured=cp_stats.captured,
-                    checkpoint_hits=cp_stats.hits,
-                    golden_pass_seconds=cp_stats.golden_pass_seconds)
-                self._note_supervised(characterization.throughput,
-                                      sup_report)
-                self.metrics.note_phase("characterize", elapsed,
-                                        windows=0 if from_cache else windows)
-                self.metrics_registry.histogram(
-                    "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
+                characterization.throughput = self._throughput(
+                    "characterize", len(characterization.characterization),
+                    from_cache, cp_stats, sup_report)
                 self._emit_audit(characterization, "characterize")
+            characterization.throughput.wall_seconds = span.seconds
             self._campaigns[benchmark] = (campaign, characterization)
         return self._campaigns[benchmark]
 
@@ -391,8 +367,7 @@ class ExperimentContext:
         if key not in self._coverage:
             campaign, characterization = self.campaign(benchmark)
             with self.events.span("phase:coverage", benchmark=benchmark,
-                                  scheme=scheme):
-                started = time.perf_counter()
+                                  scheme=scheme) as span:
                 result = self._cache_get("coverage", benchmark=benchmark,
                                          scheme=scheme)
                 from_cache = result is not None
@@ -414,20 +389,11 @@ class ExperimentContext:
                     if not result.quarantined:
                         self._cache_put("coverage", result,
                                         benchmark=benchmark, scheme=scheme)
-                elapsed = time.perf_counter() - started
-                windows = len(result.coverage_results)
-                result.throughput = ThroughputRecord(
-                    phase="coverage", windows=windows, wall_seconds=elapsed,
-                    jobs=self.jobs, from_cache=from_cache,
-                    checkpoints_captured=cp_stats.captured,
-                    checkpoint_hits=cp_stats.hits,
-                    golden_pass_seconds=cp_stats.golden_pass_seconds)
-                self._note_supervised(result.throughput, sup_report)
-                self.metrics.note_phase("coverage", elapsed,
-                                        windows=0 if from_cache else windows)
-                self.metrics_registry.histogram(
-                    "phase_seconds", SECONDS_BUCKETS).observe(elapsed)
+                result.throughput = self._throughput(
+                    "coverage", len(result.coverage_results), from_cache,
+                    cp_stats, sup_report)
                 self._emit_audit(result, "coverage")
+            result.throughput.wall_seconds = span.seconds
             self._coverage[key] = result
         return self._coverage[key]
 
@@ -453,10 +419,8 @@ class ExperimentContext:
                     store: Callable[[Tuple, Any], None]) -> None:
             if not jobs_args:
                 return
-            started = time.perf_counter()
-            results = self._executor.map(task_fn, jobs_args)
-            self.metrics.note_phase(f"prefetch:{phase}",
-                                    time.perf_counter() - started)
+            with self.events.span(f"prefetch:{phase}"):
+                results = self._executor.map(task_fn, jobs_args)
             for args, result in zip(jobs_args, results):
                 store(args, result)
 
@@ -570,13 +534,15 @@ class ExperimentContext:
     def _adopt_characterization(self, benchmark: str,
                                 characterization: CampaignResult,
                                 from_cache: bool) -> None:
+        """Serve a characterisation this context did not classify: a
+        cache hit gets a fresh throughput record, a worker's result
+        keeps the one its worker timed."""
         campaign = self.build_campaign(benchmark)
         campaign.records = characterization.records
-        characterization.throughput = ThroughputRecord(
-            phase="characterize",
-            windows=len(characterization.characterization),
-            jobs=self.jobs, from_cache=from_cache,
-            quarantined=len(characterization.quarantined))
+        if from_cache:
+            characterization.throughput = self._throughput(
+                "characterize", len(characterization.characterization),
+                from_cache=True)
         self._campaigns[benchmark] = (campaign, characterization)
         self._emit_audit(characterization, "characterize")
 
@@ -584,25 +550,68 @@ class ExperimentContext:
                         result: CampaignResult, from_cache: bool) -> None:
         _, characterization = self.campaign(benchmark)
         result.characterization = characterization.characterization
-        result.throughput = ThroughputRecord(
-            phase="coverage", windows=len(result.coverage_results),
-            jobs=self.jobs, from_cache=from_cache,
-            quarantined=len(result.quarantined))
+        if from_cache:
+            result.throughput = self._throughput(
+                "coverage", len(result.coverage_results), from_cache=True)
         self._coverage[(benchmark, scheme)] = result
         self._emit_audit(result, "coverage")
 
-    @staticmethod
-    def _note_supervised(throughput: ThroughputRecord,
-                         report) -> None:
-        """Fold a supervisor :class:`PhaseReport`'s counters into the
-        phase's throughput record (no-op on a cache hit)."""
-        if report is None:
-            return
-        throughput.retries = report.retries
-        throughput.timeouts = report.timeouts
-        throughput.pool_rebuilds = report.pool_rebuilds
-        throughput.quarantined = len(report.quarantined)
-        throughput.chunks_resumed = report.chunks_resumed
+    def _throughput(self, phase: str, windows: int, from_cache: bool,
+                    cp_stats: Optional[_parallel.CheckpointStats] = None,
+                    report=None) -> ThroughputRecord:
+        """A phase's throughput record, folding in its checkpoint stats
+        and its supervisor :class:`PhaseReport` (none on a cache hit).
+        ``wall_seconds`` is the phase span's, set once the span closes."""
+        cp_stats = cp_stats or _parallel.CheckpointStats()
+        record = ThroughputRecord(
+            phase=phase, windows=windows, jobs=self.jobs,
+            from_cache=from_cache, checkpoints_captured=cp_stats.captured,
+            checkpoint_hits=cp_stats.hits,
+            golden_pass_seconds=cp_stats.golden_pass_seconds)
+        if report is not None:
+            record.retries = report.retries
+            record.timeouts = report.timeouts
+            record.pool_rebuilds = report.pool_rebuilds
+            record.quarantined = len(report.quarantined)
+            record.chunks_resumed = report.chunks_resumed
+        return record
+
+    # -- run summary ------------------------------------------------------
+    def run_metrics(self) -> Dict[str, int]:
+        """Cache traffic, read from the artifact cache, and the windows
+        this context's phases classified (cache hits excluded), read from
+        their throughput records."""
+        results = ([c for _, c in self._campaigns.values()]
+                   + list(self._coverage.values()))
+        return {
+            "cache_hits": self.cache.hits if self.cache else 0,
+            "cache_misses": self.cache.misses if self.cache else 0,
+            "windows": sum(r.throughput.windows for r in results
+                           if not r.throughput.from_cache),
+        }
+
+    def summary(self) -> str:
+        """The execution line ``repro campaign``/``figure`` print to
+        stderr: :meth:`run_metrics` and the phase span totals."""
+        counts = self.run_metrics()
+        phases = {name: seconds for name, seconds
+                  in sorted(self.events.span_seconds.items())
+                  if name.startswith(("phase:", "prefetch:"))}
+        total = sum(phases.values())
+        rate = counts["windows"] / total if total > 0 else 0.0
+        timed = " ".join(f"{name}={seconds:.2f}s"
+                         for name, seconds in phases.items())
+        return (f"cache {counts['cache_hits']} hits / "
+                f"{counts['cache_misses']} misses"
+                f" | {counts['windows']} windows ({rate:.1f}/s)"
+                f" | {timed or 'no phases timed'}")
+
+    def run_manifest(self, **metrics: Any):
+        """The run-level manifest: every span total as ``phase_seconds``
+        and :meth:`run_metrics` (plus *metrics*) as ``metrics``."""
+        return build_manifest("run", self.cfg, self.hw, jobs=self.jobs,
+                              phase_seconds=self.events.span_seconds,
+                              metrics={**self.run_metrics(), **metrics})
 
     # -- audit trail ------------------------------------------------------
     def _emit_audit(self, result: CampaignResult, phase: str) -> None:

@@ -35,9 +35,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import HardwareConfig
@@ -45,42 +44,8 @@ from ..faults import CampaignResult
 from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
 from ..obs.events import NULL_LOG, WORKER_DIR_ENV, worker_task_span
-from ..obs.metrics import NULL_METRICS, SECONDS_BUCKETS, worker_metrics
+from ..obs.metrics import NULL_METRICS, worker_metrics
 from ..pipeline.checkpoint import CoreCheckpoint
-
-# ----------------------------------------------------------------------
-# instrumentation
-# ----------------------------------------------------------------------
-@dataclass
-class ContextMetrics:
-    """Per-context execution instrumentation (cache traffic, per-phase
-    wall-clock, window throughput) — the evidence behind any claimed
-    speedup."""
-
-    cache_hits: int = 0
-    cache_misses: int = 0
-    windows: int = 0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def note_phase(self, phase: str, seconds: float,
-                   windows: int = 0) -> None:
-        self.phase_seconds[phase] = (self.phase_seconds.get(phase, 0.0)
-                                     + seconds)
-        self.windows += windows
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
-
-    def summary(self) -> str:
-        phases = " ".join(f"{name}={seconds:.2f}s" for name, seconds
-                          in sorted(self.phase_seconds.items()))
-        rate = (self.windows / self.total_seconds
-                if self.total_seconds > 0 else 0.0)
-        return (f"cache {self.cache_hits} hits / {self.cache_misses} misses"
-                f" | {self.windows} windows ({rate:.1f}/s)"
-                f" | {phases or 'no phases timed'}")
-
 
 # ----------------------------------------------------------------------
 # pool plumbing
@@ -278,7 +243,8 @@ def coverage_task(args) -> CampaignResult:
 @dataclass
 class CheckpointStats:
     """Dispatcher-side checkpoint instrumentation for one fan-out (feeds
-    :class:`~repro.faults.campaign.ThroughputRecord`)."""
+    :class:`~repro.faults.campaign.ThroughputRecord`);
+    ``golden_pass_seconds`` totals its ``checkpoint:golden_pass`` spans."""
 
     captured: int = 0
     hits: int = 0
@@ -330,74 +296,72 @@ def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
     golden_at = 0
     base: Optional[CoreCheckpoint] = None   # nearest cached boundary
     captured_before, hits_before = stats.captured, stats.hits
-    started = time.perf_counter()
-    for lo, _hi in bounds:
-        key = checkpoint = None
-        if cache is not None:
-            key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
-                                  records, lo)
-            checkpoint = cache.get("checkpoint", key)
-            events.cache_event("checkpoint", key,
-                               hit=checkpoint is not None)
-        if checkpoint is not None:
-            stats.hits += 1
-            events.emit("checkpoint", action="hit", window=lo,
-                        benchmark=benchmark, scheme=label,
-                        bytes=checkpoint.nbytes,
-                        committed=checkpoint.committed,
-                        cycle=checkpoint.cycle)
-            # Later misses resume from this checkpoint, not from any
-            # earlier live core.
-            base, golden = checkpoint, None
-        else:
-            if golden is None:
-                if base is not None:
-                    with events.span("checkpoint:restore",
-                                     benchmark=benchmark, scheme=label,
-                                     window=base.window_index):
-                        golden = base.restore()
-                    golden_at = base.window_index
-                else:
-                    golden = factory()
-                    golden_at = 0
-            with events.span("checkpoint:capture", benchmark=benchmark,
-                             scheme=label, window=lo):
-                classifier.advance_golden(golden, records[golden_at:lo])
-                golden_at = lo
-                # chunk boundaries are the natural sanitizer sites: a
-                # structurally broken golden core must never be captured
-                # into the checkpoint cache (no-op when not armed)
-                golden.check_invariants()
-                resume = records[lo - 1].inject_at_commit if lo else 0
-                checkpoint = CoreCheckpoint.capture(
-                    golden, window_index=lo, resume_at_commit=resume)
-            stats.captured += 1
-            events.emit("checkpoint", action="capture", window=lo,
-                        benchmark=benchmark, scheme=label,
-                        bytes=checkpoint.nbytes,
-                        committed=checkpoint.committed,
-                        cycle=checkpoint.cycle)
-            if cache is not None and cache.put("checkpoint", key,
-                                               checkpoint):
-                from ..obs.manifest import (build_manifest,
-                                            manifest_path_for,
-                                            write_manifest)
-                manifest = build_manifest(
-                    "checkpoint", cfg, hw,
-                    parts=dict(benchmark=benchmark, scheme=label,
-                               window=lo, prefix_records=lo),
-                    key=key, jobs=jobs)
-                write_manifest(
-                    manifest_path_for(
-                        cache.artifact_path("checkpoint", key)),
-                    manifest)
-        checkpoints.append(checkpoint)
-    elapsed = time.perf_counter() - started
-    stats.golden_pass_seconds += elapsed
+    with events.span("checkpoint:golden_pass", benchmark=benchmark,
+                     scheme=label) as span:
+        for lo, _hi in bounds:
+            key = checkpoint = None
+            if cache is not None:
+                key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
+                                      records, lo)
+                checkpoint = cache.get("checkpoint", key)
+                events.cache_event("checkpoint", key,
+                                   hit=checkpoint is not None)
+            if checkpoint is not None:
+                stats.hits += 1
+                events.emit("checkpoint", action="hit", window=lo,
+                            benchmark=benchmark, scheme=label,
+                            bytes=checkpoint.nbytes,
+                            committed=checkpoint.committed,
+                            cycle=checkpoint.cycle)
+                # Later misses resume from this checkpoint, not from any
+                # earlier live core.
+                base, golden = checkpoint, None
+            else:
+                if golden is None:
+                    if base is not None:
+                        with events.span("checkpoint:restore",
+                                         benchmark=benchmark, scheme=label,
+                                         window=base.window_index):
+                            golden = base.restore()
+                        golden_at = base.window_index
+                    else:
+                        golden = factory()
+                        golden_at = 0
+                with events.span("checkpoint:capture", benchmark=benchmark,
+                                 scheme=label, window=lo):
+                    classifier.advance_golden(golden, records[golden_at:lo])
+                    golden_at = lo
+                    # chunk boundaries are the natural sanitizer sites: a
+                    # structurally broken golden core must never be captured
+                    # into the checkpoint cache (no-op when not armed)
+                    golden.check_invariants()
+                    resume = records[lo - 1].inject_at_commit if lo else 0
+                    checkpoint = CoreCheckpoint.capture(
+                        golden, window_index=lo, resume_at_commit=resume)
+                stats.captured += 1
+                events.emit("checkpoint", action="capture", window=lo,
+                            benchmark=benchmark, scheme=label,
+                            bytes=checkpoint.nbytes,
+                            committed=checkpoint.committed,
+                            cycle=checkpoint.cycle)
+                if cache is not None and cache.put("checkpoint", key,
+                                                   checkpoint):
+                    from ..obs.manifest import (build_manifest,
+                                                manifest_path_for,
+                                                write_manifest)
+                    manifest = build_manifest(
+                        "checkpoint", cfg, hw,
+                        parts=dict(benchmark=benchmark, scheme=label,
+                                   window=lo, prefix_records=lo),
+                        key=key, jobs=jobs)
+                    write_manifest(
+                        manifest_path_for(
+                            cache.artifact_path("checkpoint", key)),
+                        manifest)
+            checkpoints.append(checkpoint)
+    stats.golden_pass_seconds += span.seconds
     metrics = getattr(ctx, "metrics_registry", NULL_METRICS)
     if metrics.enabled:
-        metrics.histogram("golden_pass_seconds",
-                          SECONDS_BUCKETS).observe(elapsed)
         metrics.counter("checkpoints_captured_total").inc(
             stats.captured - captured_before)
         metrics.counter("checkpoint_hits_total").inc(
@@ -440,7 +404,6 @@ def window_chunk_task(args) -> List[WindowResult]:
 
 __all__ = [
     "CheckpointStats",
-    "ContextMetrics",
     "ParallelExecutor",
     "align_chunk_bounds",
     "chunk_bounds",

@@ -18,9 +18,11 @@ absorb). After every fan-out the parent merges the spools back into the
 main log, ordered by timestamp, and emits one ``worker_merge`` marker
 per absorbed worker.
 
-When observability is disabled every call site holds the shared
-:data:`NULL_LOG` whose methods are no-ops — the log costs nothing when
-it is off.
+When observability is disabled every call site holds a
+:class:`NullEventLog` whose methods write nothing — the log costs
+nothing when it is off. Both logs still time their spans: a span is the
+harness's one phase clock, and each log keeps the per-name totals
+(``span_seconds``) that the run summary and manifest are derived from.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import pathlib
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: Environment variable through which the parent hands pool workers the
@@ -66,11 +69,32 @@ def _spool_pid(spool: pathlib.Path) -> int:
         return -1
 
 
+@dataclass
+class Span:
+    """The handle ``span()`` yields: ``id`` is what children name as
+    their ``parent`` (None in the non-writing log), and ``seconds`` is
+    set when the span closes."""
+
+    id: Optional[str] = None
+    seconds: float = 0.0
+
+
+def _close_span(totals: Dict[str, float], name: str, span: Span,
+                started: float) -> None:
+    span.seconds = round(time.perf_counter() - started, 6)
+    totals[name] = totals.get(name, 0.0) + span.seconds
+
+
 class NullEventLog:
-    """Do-nothing sink: the disabled-observability fast path."""
+    """Non-writing sink: the disabled-observability fast path. It emits
+    nothing but still times spans into ``span_seconds``."""
 
     enabled = False
     path = None
+
+    def __init__(self) -> None:
+        #: Total seconds of every closed span, per span name.
+        self.span_seconds: Dict[str, float] = {}
 
     def emit(self, event_type: str, **fields: Any) -> None:
         pass
@@ -82,8 +106,13 @@ class NullEventLog:
         pass
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        yield None
+    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+        span = Span()
+        started = time.perf_counter()
+        try:
+            yield span
+        finally:
+            _close_span(self.span_seconds, name, span, started)
 
     def worker_spool(self) -> Optional[str]:
         return None
@@ -95,7 +124,9 @@ class NullEventLog:
         pass
 
 
-#: The shared disabled sink; ``log is NULL_LOG`` is the "off" test.
+#: The shared disabled sink; ``log.enabled`` is the "off" test. An
+#: :class:`~repro.harness.experiment.ExperimentContext` takes a private
+#: :class:`NullEventLog` instead, so contexts never share span totals.
 NULL_LOG = NullEventLog()
 
 
@@ -117,6 +148,8 @@ class EventLog:
         self._ids = itertools.count(1)
         self._stack: List[str] = []
         self._closed = False
+        #: Total seconds of every closed span, per span name.
+        self.span_seconds: Dict[str, float] = {}
         self.emit("run_start", run=self.run_id, schema=SCHEMA_VERSION)
         self._sweep_stale_spools()
 
@@ -165,20 +198,21 @@ class EventLog:
         self.emit("cache", kind=kind, key=key, hit=bool(hit))
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[str]:
+    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         """Emit a ``span_start``/``span_end`` pair around the body."""
-        span_id = f"{os.getpid()}:{next(self._ids)}"
+        span = Span(f"{os.getpid()}:{next(self._ids)}")
         parent = self._stack[-1] if self._stack else None
-        self.emit("span_start", span=span_id, parent=parent, name=name,
+        self.emit("span_start", span=span.id, parent=parent, name=name,
                   attrs=attrs)
-        self._stack.append(span_id)
+        self._stack.append(span.id)
         started = time.perf_counter()
         try:
-            yield span_id
+            yield span
         finally:
             self._stack.pop()
-            self.emit("span_end", span=span_id, name=name,
-                      seconds=round(time.perf_counter() - started, 6))
+            _close_span(self.span_seconds, name, span, started)
+            self.emit("span_end", span=span.id, name=name,
+                      seconds=span.seconds)
 
     # -- worker spool --------------------------------------------------
     @property

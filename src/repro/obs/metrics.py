@@ -156,10 +156,10 @@ class MetricsRegistry:
     """Named instruments, memoised by name, snapshot/merge-able.
 
     Names are namespaced by convention (``core_cycles_total``,
-    ``cache_hits_total``, ``supervisor_chunk_seconds``); re-registering
-    a name returns the existing instrument, and registering it as a
-    different kind (or a histogram with a different bucket schema) is a
-    programming error and raises.
+    ``cache_hits_total``, ``classifier_detection_latency_cycles``);
+    re-registering a name returns the existing instrument, and
+    registering it as a different kind (or a histogram with a different
+    bucket schema) is a programming error and raises.
     """
 
     enabled = True

@@ -6,6 +6,7 @@ cache hit) yields bit-for-bit identical campaign results.
 """
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -188,13 +189,13 @@ class TestParallelEquivalence:
         cold = ExperimentContext(_TINY, jobs=1, cache=cache)
         cold.campaign("mcf")
         cold.coverage("mcf", "faulthound")
-        assert cold.metrics.cache_misses > 0
+        assert cold.cache.misses > 0
 
-        warm = ExperimentContext(_TINY, jobs=1, cache=cache)
+        warm = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         _, warm_char = warm.campaign("mcf")
         warm_cov = warm.coverage("mcf", "faulthound")
-        assert warm.metrics.cache_hits > 0
-        assert warm.metrics.cache_misses == 0
+        assert warm.cache.hits > 0
+        assert warm.cache.misses == 0
         assert warm_char.throughput.from_cache
         assert warm_cov.throughput.from_cache
         assert warm_char.characterization == serial_char.characterization
@@ -202,10 +203,28 @@ class TestParallelEquivalence:
         assert warm_cov.outcomes == serial_cov.outcomes
 
     def test_fault_free_round_trips_through_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cold = ExperimentContext(_TINY, jobs=1, cache=cache)
+        cold = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         run_cold = cold.fault_free("mcf", "baseline")
-        warm = ExperimentContext(_TINY, jobs=1, cache=cache)
+        warm = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         run_warm = warm.fault_free("mcf", "baseline")
         assert run_warm == run_cold
-        assert warm.metrics.cache_hits == 1
+        assert warm.cache.hits == 1
+
+
+class TestPrefetchThroughput:
+    def test_prefetched_phases_keep_the_workers_throughput(self):
+        cfg = replace(ExperimentConfig().quick(),
+                      benchmarks=("mcf", "bzip2"))
+        serial = ExperimentContext(cfg, jobs=1)
+        parallel = ExperimentContext(cfg, jobs=2)
+        parallel.prefetch(coverage=["faulthound"])
+        for ctx in (serial, parallel):
+            for benchmark in cfg.benchmarks:
+                ctx.coverage(benchmark, "faulthound")
+        phases = ([c for _, c in parallel._campaigns.values()]
+                  + list(parallel._coverage.values()))
+        assert len(phases) == 4
+        assert all(r.throughput.wall_seconds > 0 for r in phases)
+        windows = serial.run_metrics()["windows"]
+        assert windows > 0
+        assert parallel.run_metrics()["windows"] == windows

@@ -119,12 +119,11 @@ class TestAggregateDeterminism:
         assert self._aggregates(parallel) == self._aggregates(serial_ctx)
 
     def test_warm_cache_matches_serial(self, serial_ctx, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cold = ExperimentContext(_TINY, jobs=1, cache=cache)
+        cold = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         cold_aggregates = self._aggregates(cold)
-        warm = ExperimentContext(_TINY, jobs=1, cache=cache)
+        warm = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         warm_aggregates = self._aggregates(warm)
-        assert warm.metrics.cache_hits > 0
+        assert warm.cache.hits > 0
         assert cold_aggregates == self._aggregates(serial_ctx)
         assert warm_aggregates == cold_aggregates
 

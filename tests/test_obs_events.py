@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
 from repro.obs import (EventLog, NULL_LOG, WORKER_DIR_ENV, check_spans,
                        read_events, summarize_events, validate_events,
@@ -36,15 +37,15 @@ class TestEventLog:
 
     def test_spans_nest_with_parent_links(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
-        with log.span("outer") as outer_id:
-            with log.span("inner", benchmark="mcf") as inner_id:
+        with log.span("outer") as outer:
+            with log.span("inner", benchmark="mcf") as inner:
                 pass
         log.close()
         events = read_events(log.path)
         starts = {e["name"]: e for e in events if e["type"] == "span_start"}
         assert starts["outer"]["parent"] is None
-        assert starts["inner"]["parent"] == outer_id
-        assert starts["inner"]["span"] == inner_id
+        assert starts["inner"]["parent"] == outer.id
+        assert starts["inner"]["span"] == inner.id
         assert starts["inner"]["attrs"] == {"benchmark": "mcf"}
         assert validate_events(events) == []
 
@@ -381,3 +382,54 @@ class TestCampaignLog:
         path.write_text('{"ts": 1}\nnot json\n')
         with pytest.raises(ValueError, match="not JSON"):
             read_events(path)
+
+
+# ----------------------------------------------------------------------
+# one clock: every phase-time figure is a span's
+# ----------------------------------------------------------------------
+class TestOneClock:
+    def test_phase_figures_are_the_spans(self, tmp_path):
+        log = EventLog(tmp_path / "events.jsonl")
+        ctx = ExperimentContext(_TINY, jobs=2, events=log,
+                                cache=ArtifactCache(tmp_path / "cache"))
+        _, characterization = ctx.campaign("mcf")
+        ctx.coverage("mcf", "faulthound")
+        summary_line = ctx.summary()
+        log.close()
+        manifest = ctx.run_manifest()
+        events = [e for e in read_events(log.path)
+                  if e["pid"] == os.getpid()]
+
+        totals, seconds, names, parents = {}, {}, {}, {}
+        for event in events:
+            if event["type"] == "span_start":
+                names[event["span"]] = event["name"]
+                parents[event["span"]] = event["parent"]
+            elif event["type"] == "span_end":
+                seconds[event["span"]] = event["seconds"]
+                totals[event["name"]] = (totals.get(event["name"], 0.0)
+                                         + event["seconds"])
+        assert manifest.phase_seconds == pytest.approx(totals, abs=1e-6)
+
+        (phase,) = [s for s, n in names.items()
+                    if n == "phase:characterize"]
+        (golden,) = [s for s, n in names.items()
+                     if n == "checkpoint:golden_pass"
+                     and parents[s] == phase]
+        throughput = characterization.throughput
+        assert throughput.wall_seconds == seconds[phase]
+        assert throughput.golden_pass_seconds == seconds[golden]
+
+        rollup = summarize_events(read_events(log.path))
+        assert rollup["cache_misses"] > 0
+        assert summary_line.startswith(
+            f"cache {rollup['cache_hits']} hits / "
+            f"{rollup['cache_misses']} misses")
+        assert manifest.metrics["cache_misses"] == rollup["cache_misses"]
+
+    def test_contexts_without_a_log_keep_their_own_span_totals(self):
+        first = ExperimentContext(_TINY, jobs=1)
+        second = ExperimentContext(_TINY, jobs=1, events=NULL_LOG)
+        first.fault_free("mcf", "baseline")
+        assert first.events.span_seconds["phase:fault_free"] > 0
+        assert second.events.span_seconds == {}

@@ -84,8 +84,8 @@ class TestCacheProvenance:
         ExperimentContext(_TINY, jobs=1, cache=cache).fault_free(
             "mcf", "baseline")
         before = {p: p.read_text() for p in tmp_path.rglob("*.manifest.json")}
-        warm = ExperimentContext(_TINY, jobs=1, cache=cache)
+        warm = ExperimentContext(_TINY, jobs=1, cache=ArtifactCache(tmp_path))
         warm.fault_free("mcf", "baseline")
-        assert warm.metrics.cache_hits == 1
+        assert warm.cache.hits == 1
         after = {p: p.read_text() for p in tmp_path.rglob("*.manifest.json")}
         assert after == before
