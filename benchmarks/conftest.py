@@ -13,8 +13,8 @@ Scale is controlled by the ``REPRO_SCALE`` environment variable:
 
 Execution is controlled by two more environment variables:
 
-- ``REPRO_JOBS``     — worker processes for campaign/figure fan-out
-  (default: all CPUs; 1 = the reference serial path);
+- ``REPRO_JOBS``     — worker processes for figure fan-out across
+  benchmarks and schemes (default: all CPUs; 1 = the serial path);
 - ``REPRO_NO_CACHE`` — when set (non-empty), skip the persistent artifact
   cache under ``benchmarks/.cache/`` and recompute everything;
 - ``REPRO_EVENTS``   — when set, stream the structured JSONL event log

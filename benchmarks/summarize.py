@@ -76,7 +76,7 @@ def _fastforward(name, payload, saved_at):
 
 
 def _restore_vs_replay(name, payload, saved_at):
-    return [_row(name, "parallel-worker startup "
+    return [_row(name, "golden-core startup "
                        f"({payload['prefix_windows']}-window prefix)",
                  f"{payload['replay_ms']} ms (golden replay)",
                  f"{payload['restore_ms']} ms (checkpoint restore)",

@@ -10,8 +10,8 @@ Subcommands
     Run one synthetic benchmark fault-free; print timing and energy.
 ``repro campaign NAME [--faults N] [--scheme S]``
     Fault-injection campaign: characterisation plus scheme coverage.
-    Runs under the resilient supervisor by default (retries, watchdog
-    timeouts, poison-window quarantine — see docs/robustness.md); with
+    Runs under the resilient supervisor by default (retries with
+    backoff, poison-window quarantine — see docs/robustness.md); with
     ``--run-dir D`` progress is journaled crash-safely into ``D``.
 ``repro resume RUN_DIR``
     Finish an interrupted ``repro campaign --run-dir RUN_DIR``: only
@@ -106,34 +106,33 @@ _SCALES = {
 }
 
 
-def _bounded(kind, minimum, inclusive=True):
+def _bounded(kind, minimum):
     """argparse type for a number bounded below, with the bound
     ``validate_task`` enforces on the same spec field — a value out of
     range is a parser error, never a silent clamp."""
-    relation = ">=" if inclusive else ">"
-
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a valid {kind.__name__}")
-        if value < minimum or (not inclusive and value == minimum):
+        if value < minimum:
             raise argparse.ArgumentTypeError(
-                f"must be {relation} {minimum} (got {value})")
+                f"must be >= {minimum} (got {value})")
         return value
     return parse
 
 
 _positive_int = _bounded(int, 1)
 _non_negative_int = _bounded(int, 0)
-_positive_float = _bounded(float, 0, inclusive=False)
 
 
 def _add_exec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=_positive_int, default=None,
-                     help="worker processes for campaign/figure fan-out "
-                          "(default: all CPUs; 1 = serial)")
+                     help="worker processes for figure fan-out across "
+                          "benchmarks and schemes (default: all CPUs; "
+                          "1 = serial); fault windows always classify "
+                          "in-process")
     sub.add_argument("--no-cache", action="store_true",
                      help="recompute everything instead of using the "
                           "persistent artifact cache")
@@ -152,11 +151,6 @@ def _add_supervisor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-retries", type=_non_negative_int, default=3,
                      help="extra attempts per window chunk before "
                           "bisecting toward quarantine (default 3)")
-    sub.add_argument("--chunk-timeout", type=_positive_float, default=None,
-                     metavar="SECONDS",
-                     help="hard watchdog deadline per chunk attempt "
-                          "(default: soft deadline only, derived from "
-                          "golden-pass throughput)")
     sub.add_argument("--chunk-windows", type=_positive_int, default=8,
                      help="target windows per supervised chunk — the "
                           "journal/retry granularity (default 8)")
@@ -459,7 +453,6 @@ def _save_campaign_args(args) -> None:
                 "seed": args.seed, "jobs": args.jobs,
                 "no_cache": bool(args.no_cache),
                 "max_retries": args.max_retries,
-                "chunk_timeout": args.chunk_timeout,
                 "chunk_windows": args.chunk_windows}
     # atomic write: a SIGKILL mid-write must never leave a truncated
     # manifest that would block `repro resume`
@@ -482,7 +475,6 @@ def _cmd_campaign(args) -> int:
         args.emit_events = str(pathlib.Path(args.run_dir) / "events.jsonl")
         print(f"events: {args.emit_events}", file=sys.stderr)
     policy = SupervisorPolicy(max_retries=args.max_retries,
-                              chunk_timeout=args.chunk_timeout,
                               chunk_windows=args.chunk_windows)
     if args.run_dir:       # before the journal exists: a run dir with a
         _save_campaign_args(args)       # journal is always resumable
@@ -548,8 +540,9 @@ def _cmd_resume(args) -> int:
         no_cache=bool(saved.get("no_cache", False)),
         emit_events=args.emit_events, profile=False,
         run_dir=str(run_dir),
+        # a per-chunk timeout recorded by an older version is ignored:
+        # there is no watchdog any more
         max_retries=int(saved.get("max_retries", 3)),
-        chunk_timeout=saved.get("chunk_timeout"),
         chunk_windows=int(saved.get("chunk_windows", 8)))
     return _cmd_campaign(namespace)
 

@@ -31,19 +31,10 @@ class ThroughputRecord:
     wall_seconds: float = 0.0
     jobs: int = 1
     from_cache: bool = False
-    #: Checkpoint instrumentation for the parallel window fan-out: how
-    #: many chunk-boundary checkpoints the dispatcher captured fresh vs
-    #: reloaded from the artifact cache, and the wall-clock of its one
-    #: golden pass (zero when every boundary was a cache hit).
-    checkpoints_captured: int = 0
-    checkpoint_hits: int = 0
-    golden_pass_seconds: float = 0.0
-    #: Supervisor instrumentation (zero on unsupervised runs): retry /
-    #: watchdog / pool-rebuild counts, windows quarantined as poison,
-    #: and chunks adopted from a prior run's journal by `repro resume`.
+    #: Supervisor instrumentation (zero on unsupervised runs): retries,
+    #: windows quarantined as poison, and chunks adopted from a prior
+    #: run's journal by `repro resume`.
     retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
     quarantined: int = 0
     chunks_resumed: int = 0
 
@@ -160,17 +151,13 @@ class Campaign:
             record.inject_at_commit = (self.warmup_commits
                                        + i * self.window_commits)
 
-    def classifier(self, factory, metrics=None) -> TandemClassifier:
+    def classifier(self, factory) -> TandemClassifier:
         """A tandem classifier over this campaign's window geometry (also
-        used by parallel window-chunk workers, which pass their own
-        per-process *metrics* accumulator)."""
-        # explicit None check: an empty-but-live registry is falsy
-        # (len 0), and `or` would silently drop it
+        used by the supervisor, chunk by chunk)."""
         return TandemClassifier(factory, self.injector,
                                 window_commits=self.window_commits,
                                 max_window_cycles=self.max_window_cycles,
-                                metrics=(metrics if metrics is not None
-                                         else self.metrics))
+                                metrics=self.metrics)
 
     # ------------------------------------------------------------------
     def characterize(self) -> CampaignResult:
@@ -204,8 +191,8 @@ class Campaign:
                          characterization: CampaignResult,
                          windows: Sequence[WindowResult]) -> CampaignResult:
         """Assemble a coverage result from already-classified windows (the
-        serial tail of :meth:`run_coverage`; also the merge point for
-        window chunks classified by parallel workers)."""
+        tail of :meth:`run_coverage`; also the merge point for the
+        supervisor's window chunks)."""
         result = CampaignResult(self.benchmark, scheme_name,
                                 [w.record for w in windows])
         result.characterization = characterization.characterization

@@ -123,9 +123,10 @@ class FaultFreeRun:
 class ExperimentContext:
     """Caches programs, runs and campaigns across figure regenerations.
 
-    ``jobs`` sizes the worker pool for campaign/figure fan-out (default
-    ``os.cpu_count()``; ``jobs=1`` is the reference serial path — the
-    parallel paths produce bit-for-bit identical results). ``cache`` is
+    ``jobs`` sizes the worker pool for artefact-level figure fan-out
+    (:meth:`prefetch`; default ``os.cpu_count()``, ``jobs=1`` is the
+    serial path — both produce bit-for-bit identical results). Fault
+    windows always classify in-process, whatever ``jobs`` is. ``cache`` is
     an optional persistent :class:`~repro.harness.cache.ArtifactCache`;
     when given, fault-free runs, campaigns and coverage phases are
     reloaded from disk instead of recomputed (the key includes a
@@ -156,12 +157,12 @@ class ExperimentContext:
         self.metrics_registry = metrics if metrics is not None \
             else NULL_METRICS
         #: The :class:`~repro.harness.supervisor.Supervisor` every
-        #: campaign window fan-out runs under (retry/timeout/quarantine,
+        #: campaign window fan-out runs under (retry/quarantine,
         #: plus a crash-safe journal when it has a run dir); a plain
         #: one when the caller passes none.
         self.supervisor = supervisor if supervisor is not None \
             else Supervisor()
-        self.supervisor.bind(jobs=self.jobs, events=self.events,
+        self.supervisor.bind(events=self.events,
                              metrics=self.metrics_registry)
         if cache is not None and cache.events is NULL_LOG:
             cache.events = self.events
@@ -333,14 +334,11 @@ class ExperimentContext:
                 characterization = self._cache_get("characterize",
                                                    benchmark=benchmark)
                 from_cache = characterization is not None
-                cp_stats = _parallel.CheckpointStats()
                 sup_report = None
                 if not from_cache:
                     sup_report = self.supervisor.classify_windows(
                         self.cfg, self.hw, benchmark, None,
-                        campaign.records, phase="characterize",
-                        cache=self.cache, ctx=self,
-                        checkpoint_stats=cp_stats)
+                        campaign.records, phase="characterize", ctx=self)
                     characterization = CampaignResult(
                         benchmark, "baseline",
                         [w.record for w in sup_report.windows])
@@ -356,7 +354,7 @@ class ExperimentContext:
                 campaign.records = characterization.records
                 characterization.throughput = self._throughput(
                     "characterize", len(characterization.characterization),
-                    from_cache, cp_stats, sup_report)
+                    from_cache, sup_report)
                 self._emit_audit(characterization, "characterize")
             characterization.throughput.wall_seconds = span.seconds
             self._campaigns[benchmark] = (campaign, characterization)
@@ -371,7 +369,6 @@ class ExperimentContext:
                 result = self._cache_get("coverage", benchmark=benchmark,
                                          scheme=scheme)
                 from_cache = result is not None
-                cp_stats = _parallel.CheckpointStats()
                 sup_report = None
                 if from_cache:
                     # re-link to this context's characterisation windows
@@ -381,8 +378,7 @@ class ExperimentContext:
                     sup_report = self.supervisor.classify_windows(
                         self.cfg, self.hw, benchmark, scheme,
                         Campaign.sdc_records(characterization),
-                        phase="coverage", cache=self.cache, ctx=self,
-                        checkpoint_stats=cp_stats)
+                        phase="coverage", ctx=self)
                     result = campaign.collect_coverage(
                         scheme, characterization, sup_report.windows)
                     result.quarantined = list(sup_report.quarantined)
@@ -391,7 +387,7 @@ class ExperimentContext:
                                         benchmark=benchmark, scheme=scheme)
                 result.throughput = self._throughput(
                     "coverage", len(result.coverage_results), from_cache,
-                    cp_stats, sup_report)
+                    sup_report)
                 self._emit_audit(result, "coverage")
             result.throughput.wall_seconds = span.seconds
             self._coverage[key] = result
@@ -557,21 +553,14 @@ class ExperimentContext:
         self._emit_audit(result, "coverage")
 
     def _throughput(self, phase: str, windows: int, from_cache: bool,
-                    cp_stats: Optional[_parallel.CheckpointStats] = None,
                     report=None) -> ThroughputRecord:
-        """A phase's throughput record, folding in its checkpoint stats
-        and its supervisor :class:`PhaseReport` (none on a cache hit).
-        ``wall_seconds`` is the phase span's, set once the span closes."""
-        cp_stats = cp_stats or _parallel.CheckpointStats()
-        record = ThroughputRecord(
-            phase=phase, windows=windows, jobs=self.jobs,
-            from_cache=from_cache, checkpoints_captured=cp_stats.captured,
-            checkpoint_hits=cp_stats.hits,
-            golden_pass_seconds=cp_stats.golden_pass_seconds)
+        """A phase's throughput record, folding in its supervisor
+        :class:`PhaseReport` (none on a cache hit). ``wall_seconds`` is
+        the phase span's, set once the span closes."""
+        record = ThroughputRecord(phase=phase, windows=windows,
+                                  jobs=self.jobs, from_cache=from_cache)
         if report is not None:
             record.retries = report.retries
-            record.timeouts = report.timeouts
-            record.pool_rebuilds = report.pool_rebuilds
             record.quarantined = len(report.quarantined)
             record.chunks_resumed = report.chunks_resumed
         return record

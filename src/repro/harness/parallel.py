@@ -1,33 +1,27 @@
-"""Process-parallel execution layer for campaigns and figure artefacts.
+"""Process-parallel execution layer for figure artefacts.
 
-Two fan-out granularities, both bit-for-bit identical to serial
-execution because every worker re-derives its state from the explicit
-seeds in :class:`~repro.harness.experiment.ExperimentConfig` (design
-decision #10 in DESIGN.md — nothing is shared between workers except the
-immutable configuration):
+Whole fault-free timing runs, SRT-iso runs, characterisation campaigns
+and (benchmark, scheme) coverage phases are independent given the
+configuration; :meth:`ExperimentContext.prefetch` fans them out across
+a worker pool. Results are bit-for-bit identical to serial execution
+because every worker re-derives its state from the explicit seeds in
+:class:`~repro.harness.experiment.ExperimentConfig` (design decision #10
+in DESIGN.md — nothing is shared between workers except the immutable
+configuration).
 
-- **artefact level** — whole fault-free timing runs, SRT-iso runs,
-  characterisation campaigns and (benchmark, scheme) coverage phases
-  are independent given the configuration; :meth:`ExperimentContext.
-  prefetch` fans them out across a worker pool;
-- **window level** — inside one campaign, the planned fault list is
-  split into contiguous chunks; the supervisor
-  (:mod:`repro.harness.supervisor`) runs *one* golden pass
-  that captures a :class:`~repro.pipeline.checkpoint.CoreCheckpoint` at
-  each chunk boundary (reusing cached ones when the artifact cache has
-  them) and ships each worker its boundary checkpoint. Workers restore
-  the checkpoint and classify only their chunk — no per-worker prefix
-  replay, so total golden work is linear in the fault count instead of
-  quadratic. The serial golden core never rewinds, and checkpoint
-  restore is bit-for-bit the state the serial classifier would carry
-  into the chunk.
+Fault windows inside one campaign phase are *not* fanned out: the
+golden timeline is one sequential walk (the tandem method resyncs the
+golden state between windows), so the supervisor
+(:mod:`repro.harness.supervisor`) classifies them in-process, threading
+one live golden core through the chunks. This module still supplies its
+chunk geometry (:func:`chunk_bounds`, :func:`align_chunk_bounds`).
 
 Workers are plain processes (``concurrent.futures.ProcessPoolExecutor``,
 fork start method where available); each keeps a private serial
 ``ExperimentContext`` memoised per (config, hardware) pair so repeated
 tasks for the same configuration share generated programs. If a pool
-cannot be created (restricted sandboxes), execution silently degrades to
-the serial path — same results, no parallelism.
+cannot be created (restricted sandboxes), execution degrades to the
+serial path — same results, no parallelism.
 """
 
 from __future__ import annotations
@@ -36,16 +30,13 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..config import HardwareConfig
 from ..faults import CampaignResult
-from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
 from ..obs.events import NULL_LOG, WORKER_DIR_ENV, worker_task_span
-from ..obs.metrics import NULL_METRICS, worker_metrics
-from ..pipeline.checkpoint import CoreCheckpoint
+from ..obs.metrics import NULL_METRICS
 
 # ----------------------------------------------------------------------
 # pool plumbing
@@ -76,9 +67,10 @@ def align_chunk_bounds(bounds: Sequence[Tuple[int, int]],
     """Snap chunk cuts so faults sharing an ``inject_at_commit`` (one
     run-window) never split across chunks.
 
-    A raw :func:`chunk_bounds` cut through the middle of a window wastes
-    a checkpoint restore (two workers replay the same golden window),
-    so every producer of window chunks runs its bounds through this.
+    A raw :func:`chunk_bounds` cut through the middle of a window would
+    split one run-window's faults across two chunks (and two journal
+    entries), so every producer of window chunks runs its bounds
+    through this.
     Each interior cut is snapped *down* to the start of the window it
     lands in; cuts that collapse onto each other drop the resulting
     empty chunk. Bounds may cover several non-contiguous runs (the
@@ -165,13 +157,9 @@ class ParallelExecutor:
                 return list(pool.map(fn, tasks, chunksize=1))
         except (OSError, PermissionError) as exc:
             # Restricted environment (no fork/semaphores): fall back to
-            # the serial path, once, loudly — on stderr for humans and
-            # as a degradation event for the machine-read log.
+            # the serial path, once, loudly on stderr.
             print(f"repro: process pool unavailable ({exc}); "
                   f"running serially", file=sys.stderr)
-            self.events.emit("degradation", reason="pool_unavailable",
-                             jobs_from=workers, jobs_to=1,
-                             detail=f"{type(exc).__name__}: {exc}")
             self._pool_broken = True
             return [fn(task) for task in tasks]
 
@@ -237,181 +225,21 @@ def coverage_task(args) -> CampaignResult:
         return ctx.coverage(benchmark, scheme)
 
 
-# ----------------------------------------------------------------------
-# window-level tasks (chunks of one campaign per worker)
-# ----------------------------------------------------------------------
-@dataclass
-class CheckpointStats:
-    """Dispatcher-side checkpoint instrumentation for one fan-out (feeds
-    :class:`~repro.faults.campaign.ThroughputRecord`);
-    ``golden_pass_seconds`` totals its ``checkpoint:golden_pass`` spans."""
-
-    captured: int = 0
-    hits: int = 0
-    golden_pass_seconds: float = 0.0
-
-
-def _checkpoint_key(cache, cfg, hw, benchmark: str, scheme,
-                    records: Sequence[FaultRecord], lo: int) -> str:
-    """Content-addressed key for the chunk-boundary checkpoint at window
-    *lo*. The golden core's state there is a pure function of the
-    configuration, the workload, the scheme, and the *content* of the
-    prefix records it advanced through (an LSQ fault's probe decides
-    whether a window arms), so all of those go into the digest."""
-    return cache.key("checkpoint", cfg=cfg, hw=hw, benchmark=benchmark,
-                     scheme=scheme or "baseline", window=lo,
-                     prefix=list(records[:lo]))
-
-
-def chunk_checkpoints(cfg, hw, benchmark: str, scheme,
-                      records: Sequence[FaultRecord],
-                      bounds: Sequence[Tuple[int, int]],
-                      cache=None, events=None, ctx=None,
-                      stats: Optional[CheckpointStats] = None,
-                      jobs: int = 1) -> List[CoreCheckpoint]:
-    """One golden pass producing a :class:`CoreCheckpoint` per chunk
-    boundary — the linear replacement for per-worker prefix replay.
-
-    Boundaries are visited in ascending window order. A boundary whose
-    checkpoint the artifact cache already holds is a hit (no golden work
-    at all); a miss advances a live golden core from the nearest earlier
-    state — the previous boundary's live core, or a restored cached
-    checkpoint — so the pass never restarts from window zero. With a
-    fully warm cache the entire pass does zero stepping.
-    """
-    events = events if events is not None else NULL_LOG
-    stats = stats if stats is not None else CheckpointStats()
-    if ctx is None:
-        ctx = _worker_context(cfg, hw)
-    campaign = ctx.build_campaign(benchmark)
-    if scheme is None:
-        factory = campaign.baseline_factory
-    else:
-        factory = lambda: ctx.make_core(benchmark, scheme)
-    classifier = campaign.classifier(factory)
-    records = list(records)
-    label = scheme or "baseline"
-    checkpoints: List[CoreCheckpoint] = []
-    golden = None       # live core, advanced through records[:golden_at]
-    golden_at = 0
-    base: Optional[CoreCheckpoint] = None   # nearest cached boundary
-    captured_before, hits_before = stats.captured, stats.hits
-    with events.span("checkpoint:golden_pass", benchmark=benchmark,
-                     scheme=label) as span:
-        for lo, _hi in bounds:
-            key = checkpoint = None
-            if cache is not None:
-                key = _checkpoint_key(cache, cfg, hw, benchmark, scheme,
-                                      records, lo)
-                checkpoint = cache.get("checkpoint", key)
-                events.cache_event("checkpoint", key,
-                                   hit=checkpoint is not None)
-            if checkpoint is not None:
-                stats.hits += 1
-                events.emit("checkpoint", action="hit", window=lo,
-                            benchmark=benchmark, scheme=label,
-                            bytes=checkpoint.nbytes,
-                            committed=checkpoint.committed,
-                            cycle=checkpoint.cycle)
-                # Later misses resume from this checkpoint, not from any
-                # earlier live core.
-                base, golden = checkpoint, None
-            else:
-                if golden is None:
-                    if base is not None:
-                        with events.span("checkpoint:restore",
-                                         benchmark=benchmark, scheme=label,
-                                         window=base.window_index):
-                            golden = base.restore()
-                        golden_at = base.window_index
-                    else:
-                        golden = factory()
-                        golden_at = 0
-                with events.span("checkpoint:capture", benchmark=benchmark,
-                                 scheme=label, window=lo):
-                    classifier.advance_golden(golden, records[golden_at:lo])
-                    golden_at = lo
-                    # chunk boundaries are the natural sanitizer sites: a
-                    # structurally broken golden core must never be captured
-                    # into the checkpoint cache (no-op when not armed)
-                    golden.check_invariants()
-                    resume = records[lo - 1].inject_at_commit if lo else 0
-                    checkpoint = CoreCheckpoint.capture(
-                        golden, window_index=lo, resume_at_commit=resume)
-                stats.captured += 1
-                events.emit("checkpoint", action="capture", window=lo,
-                            benchmark=benchmark, scheme=label,
-                            bytes=checkpoint.nbytes,
-                            committed=checkpoint.committed,
-                            cycle=checkpoint.cycle)
-                if cache is not None and cache.put("checkpoint", key,
-                                                   checkpoint):
-                    from ..obs.manifest import (build_manifest,
-                                                manifest_path_for,
-                                                write_manifest)
-                    manifest = build_manifest(
-                        "checkpoint", cfg, hw,
-                        parts=dict(benchmark=benchmark, scheme=label,
-                                   window=lo, prefix_records=lo),
-                        key=key, jobs=jobs)
-                    write_manifest(
-                        manifest_path_for(
-                            cache.artifact_path("checkpoint", key)),
-                        manifest)
-            checkpoints.append(checkpoint)
-    stats.golden_pass_seconds += span.seconds
-    metrics = getattr(ctx, "metrics_registry", NULL_METRICS)
-    if metrics.enabled:
-        metrics.counter("checkpoints_captured_total").inc(
-            stats.captured - captured_before)
-        metrics.counter("checkpoint_hits_total").inc(
-            stats.hits - hits_before)
-    return checkpoints
-
-
-def window_chunk_task(args) -> List[WindowResult]:
-    """Classify ``records[lo:hi]`` in a chunk worker.
-
-    *args* is ``(cfg, hw, benchmark, scheme, records, lo, hi,
-    checkpoint)``. With a chunk-boundary :class:`CoreCheckpoint` the
-    worker restores it and starts classifying immediately; with
-    ``checkpoint=None`` it falls back to the golden-only fast-forward
-    through ``records[:lo]`` (prefix replay, the checkpoint-free
-    reference). Scheme None = baseline characterisation.
-    """
-    cfg, hw, benchmark, scheme, records, lo, hi, checkpoint = args
-    with worker_task_span("worker:window_chunk", benchmark=benchmark,
-                          scheme=scheme or "baseline", lo=lo, hi=hi,
-                          checkpointed=checkpoint is not None):
-        ctx = _worker_context(cfg, hw)
-        campaign = ctx.build_campaign(benchmark)
-        if scheme is None:
-            factory = campaign.baseline_factory
-        else:
-            factory = lambda: ctx.make_core(benchmark, scheme)
-        # worker_metrics() is the per-process accumulator, drained into
-        # the worker's event spool by the enclosing worker_task_span
-        classifier = campaign.classifier(factory,
-                                         metrics=worker_metrics())
-        if checkpoint is None:
-            return classifier.run(records[lo:hi], skip=records[:lo])
-        with worker_task_span("checkpoint:restore", window=lo,
-                              bytes=checkpoint.nbytes):
-            golden = checkpoint.restore()
-        return classifier.run(records[lo:hi], golden=golden,
-                              resume_at_commit=checkpoint.resume_at_commit)
+def chunk_checkpoints(*_args: Any, **_kwargs: Any):
+    """Retired with the window-level process pool: no boundary
+    checkpoints are captured any more. The name stays only because the
+    benchmark's tracing probe (``perfbench/probe.py``) wraps it."""
+    raise NotImplementedError("window-level checkpoint shipping was "
+                              "removed; windows classify in-process")
 
 
 __all__ = [
-    "CheckpointStats",
     "ParallelExecutor",
     "align_chunk_bounds",
     "chunk_bounds",
-    "chunk_checkpoints",
     "default_jobs",
     "fault_free_task",
     "srt_task",
     "characterize_task",
     "coverage_task",
-    "window_chunk_task",
 ]

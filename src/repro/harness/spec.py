@@ -64,7 +64,6 @@ TASK_DEFAULTS: Dict[str, Any] = {
     "jobs": None,
     "no_cache": False,
     "max_retries": 3,
-    "chunk_timeout": None,
     "chunk_windows": 8,
 }
 
@@ -138,12 +137,6 @@ def validate_task(task: Dict[str, Any], where: str = "task") -> List[str]:
                              or isinstance(jobs, bool) or jobs < 1):
         errors.append(f"{where}: jobs must be null or an integer >= 1 "
                       f"(got {jobs!r})")
-    timeout = task.get("chunk_timeout")
-    if timeout is not None and (not isinstance(timeout, (int, float))
-                                or isinstance(timeout, bool)
-                                or timeout <= 0):
-        errors.append(f"{where}: chunk_timeout must be null or a "
-                      f"positive number (got {timeout!r})")
     if not isinstance(task.get("no_cache", False), bool):
         errors.append(f"{where}: no_cache must be a boolean")
     return errors
@@ -365,8 +358,6 @@ def task_argv(task: Dict[str, Any],
         argv += ["--jobs", str(effective_jobs)]
     if task.get("no_cache"):
         argv.append("--no-cache")
-    if task.get("chunk_timeout") is not None:
-        argv += ["--chunk-timeout", str(task["chunk_timeout"])]
     if run_dir is not None:
         argv += ["--run-dir", str(run_dir)]
     return argv

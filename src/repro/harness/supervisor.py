@@ -1,21 +1,15 @@
 """Fault-tolerant campaign execution: the resilient supervisor.
 
 Large tandem campaigns (thousands of windows per benchmark x scheme)
-must survive the failures they study: a worker segfault, a hung window
-or a Ctrl-C used to kill the whole run and discard every in-flight
-result. The :class:`Supervisor` wraps the window-chunk dispatcher from
-:mod:`repro.harness.parallel` with five layers of protection:
+must survive the failures they study: a window that raises, or a
+Ctrl-C, used to kill the whole run and discard every finished result.
+The :class:`Supervisor` runs every window fan-out on one in-process
+dispatcher with four layers of protection:
 
-- **retry with exponential backoff + jitter** — a chunk whose task
-  raises, or whose worker dies (``BrokenProcessPool``), is re-enqueued
-  up to ``max_retries`` times on a rebuilt pool; every attempt is
-  recorded as a ``supervisor`` event in :mod:`repro.obs`;
-- **watchdog timeouts** — each chunk gets a soft deadline derived from
-  the golden-pass throughput estimate (the same numbers that feed
-  :class:`~repro.faults.campaign.ThroughputRecord`), tightened by the
-  hard ``chunk_timeout`` when one is configured; a chunk past its
-  deadline is cancelled (the pool is torn down) and retried with an
-  escalated deadline;
+- **retry with exponential backoff + jitter** — a chunk whose
+  classification raises is re-enqueued up to ``max_retries`` times;
+  every attempt is recorded as a ``supervisor`` event in
+  :mod:`repro.obs`;
 - **poison-window quarantine** — a chunk that fails deterministically
   is bisected down to the offending window(s), which are quarantined
   into ``<run-dir>/poisoned.jsonl`` (config digest, window coordinates,
@@ -23,31 +17,17 @@ result. The :class:`Supervisor` wraps the window-chunk dispatcher from
 - **crash-safe journal + resume** — completed chunks are appended to a
   fsync'd JSONL journal keyed by the same content-addressed digests the
   artifact cache uses, with the chunk results pickled under
-  ``<run-dir>/chunks/``; SIGINT/SIGTERM trigger a graceful drain that
-  flushes partial results and obs spools, and ``repro resume
-  <run-dir>`` restarts the campaign from the journal, re-running only
-  the missing chunks — bit-for-bit equal to an uninterrupted run;
-- **graceful degradation** — on repeated pool failure the supervisor
-  downshifts ``jobs`` (8 -> 4 -> ... -> 1 -> in-process) instead of
-  aborting, emitting a ``degradation`` event at each step.
+  ``<run-dir>/chunks/``; ``repro resume <run-dir>`` restarts a killed
+  campaign from the journal, re-running only the missing chunks —
+  bit-for-bit equal to an uninterrupted run;
+- **graceful drain** — SIGINT/SIGTERM stop dispatch after the chunk in
+  flight, flush the journal and abort with a resume hint.
 
-Every fan-out runs on one of two dispatchers: in-process (``jobs == 1``
-or after a downshift to serial), threading one live golden core through
-the chunks, or a local process pool fed boundary checkpoints. Both feed
-the same ``_complete``/``_note_failure``/quarantine/journal machinery,
-so results — and ``repro resume`` — are bit-for-bit identical across
-them.
-
-Chaos knobs (for the chaos-campaign CI job and tests, never set in
-production runs) are read by the *worker-side* task only:
-
-- ``REPRO_CHAOS_CRASH_RATE`` — probability in [0, 1] that a chunk
-  attempt SIGKILLs its worker; the decision is a deterministic hash of
-  the chunk coordinates *and the attempt number*, so retries converge;
-- ``REPRO_CHAOS_POISON`` — comma-separated window positions that
-  SIGKILL the worker on *every* attempt (deterministic poison);
-- ``REPRO_CHAOS_HANG`` — comma-separated window positions whose chunk
-  sleeps forever, exercising the watchdog.
+The dispatcher threads one live golden core through the chunks in
+window order, so the golden timeline is walked once, exactly as the
+plain serial classifier walks it (the paper's tandem method resyncs the
+golden state between windows, which makes that walk sequential). Hangs
+need no watchdog: every window is bounded by ``max_window_cycles``.
 """
 
 from __future__ import annotations
@@ -61,8 +41,6 @@ import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -70,7 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..faults.classifier import WindowResult
 from ..faults.model import FaultRecord
-from ..obs.events import NULL_LOG, WORKER_DIR_ENV, read_jsonl
+from ..obs.events import NULL_LOG, read_jsonl
 from ..obs.manifest import config_digest
 from ..obs.metrics import NULL_METRICS
 from . import parallel as _parallel
@@ -81,9 +59,19 @@ EXIT_COMPLETE = 0
 EXIT_QUARANTINE = 3
 EXIT_ABORTED = 4
 
-CHAOS_CRASH_RATE_ENV = "REPRO_CHAOS_CRASH_RATE"
-CHAOS_POISON_ENV = "REPRO_CHAOS_POISON"
-CHAOS_HANG_ENV = "REPRO_CHAOS_HANG"
+
+def _jitter_fraction(*coords: Any) -> float:
+    """Deterministic pseudo-random fraction in [0, 1) from coordinates."""
+    blob = ":".join(str(c) for c in coords).encode()
+    word = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return word / 2.0 ** 64
+
+
+def wait(seconds: float) -> None:
+    """Idle the dispatcher while every pending chunk is backing off —
+    the one place a fan-out waits (a module function, so profilers can
+    time it)."""
+    time.sleep(seconds)
 
 
 class CampaignAborted(ReproError):
@@ -101,94 +89,26 @@ class CampaignAborted(ReproError):
 
 
 # ----------------------------------------------------------------------
-# chaos injection (worker side, env-gated, off in production)
-# ----------------------------------------------------------------------
-def _chaos_fraction(*coords: Any) -> float:
-    """Deterministic pseudo-random fraction in [0, 1) from coordinates."""
-    blob = ":".join(str(c) for c in coords).encode()
-    word = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    return word / 2.0 ** 64
-
-
-def _chaos_indices(env: str, label: str) -> List[int]:
-    """Window positions listed in *env*: bare integers apply to every
-    phase, ``<scheme-label>:<index>`` tokens only to that phase's
-    fan-out (e.g. ``baseline:4`` poisons characterisation window 4 but
-    leaves the coverage replay alone)."""
-    indices = []
-    for token in os.environ.get(env, "").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            want, _, token = token.partition(":")
-            if want != label:
-                continue
-        indices.append(int(token))
-    return indices
-
-
-def chaos_probe(benchmark: str, scheme: str, lo: int, hi: int,
-                attempt: int) -> None:
-    """Kill or hang this worker according to the chaos environment.
-
-    Poison windows (``REPRO_CHAOS_POISON``) crash on every attempt;
-    random crashes (``REPRO_CHAOS_CRASH_RATE``) hash the attempt number
-    into the decision so a retried chunk eventually survives.
-    """
-    if any(lo <= w < hi for w in _chaos_indices(CHAOS_POISON_ENV, scheme)):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if any(lo <= w < hi for w in _chaos_indices(CHAOS_HANG_ENV, scheme)):
-        time.sleep(3600.0)
-    rate = float(os.environ.get(CHAOS_CRASH_RATE_ENV, "0") or 0.0)
-    if rate > 0 and _chaos_fraction(benchmark, scheme, lo, hi,
-                                    attempt) < rate:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def supervised_chunk_task(args) -> List[WindowResult]:
-    """Pool entry point: the chaos probe, then the ordinary chunk task.
-
-    ``args`` is ``(window_chunk_task args, attempt)`` — the attempt
-    number exists only to parameterise the chaos probe; the classified
-    results are attempt-invariant.
-    """
-    inner, attempt = args
-    _cfg, _hw, benchmark, scheme, _records, lo, hi, _checkpoint = inner
-    chaos_probe(benchmark, scheme or "baseline", lo, hi, attempt)
-    return _parallel.window_chunk_task(inner)
-
-
-# ----------------------------------------------------------------------
 # policy and reports
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Retry/timeout/quarantine knobs for one supervised campaign."""
+    """Retry/quarantine knobs for one supervised campaign."""
 
     #: Extra attempts after the first, per chunk.
     max_retries: int = 3
     #: Extra attempts for bisected sub-chunks (determinism is already
     #: suspected by the time a chunk is bisected).
     bisect_retries: int = 1
-    #: Hard per-chunk wall-clock cap in seconds (None = soft only).
-    chunk_timeout: Optional[float] = None
-    #: Soft deadline = max(min_soft_timeout, factor x estimated chunk
-    #: seconds from the golden pass); <= 0 disables the soft deadline.
-    soft_timeout_factor: float = 32.0
-    min_soft_timeout: float = 30.0
     #: Exponential backoff between attempts: base * 2^(attempt-1),
     #: capped, plus deterministic jitter (a fraction of the delay).
     backoff_base: float = 0.1
     backoff_max: float = 5.0
     backoff_jitter: float = 0.5
-    #: Target windows per chunk — the journal (and retry) granularity.
-    #: The chunk count is ``max(jobs, ceil(windows / chunk_windows))``.
+    #: Target windows per chunk — the journal (and retry) granularity:
+    #: each uncovered run of windows splits into
+    #: ``ceil(windows / chunk_windows)`` chunks.
     chunk_windows: int = 8
-    #: Consecutive pool failures tolerated before downshifting jobs.
-    pool_break_limit: int = 3
-    #: Seconds to wait for in-flight chunks during a graceful drain.
-    drain_grace: float = 30.0
     #: Seconds between ``heartbeat`` events while a fan-out is in
     #: flight (worker health for ``repro top``); <= 0 disables them.
     heartbeat_interval: float = 5.0
@@ -207,7 +127,7 @@ class QuarantineRecord:
     bit: int
     inject_at_commit: int
     attempts: int
-    reason: str                  # "crash" | "exception" | "timeout"
+    reason: str                  # failure kind, e.g. "exception"
     error: str                   # last traceback / failure description
     config_digest: str
 
@@ -226,15 +146,19 @@ class PhaseReport:
     windows: List[WindowResult] = field(default_factory=list)
     quarantined: List[QuarantineRecord] = field(default_factory=list)
     retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    downshifts: int = 0
     chunks_run: int = 0
     chunks_resumed: int = 0
     #: Live-progress coordinates behind the ``campaign_progress``
     #: counter trail (windows_done starts at the resumed baseline).
     windows_total: int = 0
     windows_done: int = 0
+
+    @property
+    def timeouts(self) -> int:
+        """Always 0: windows are bounded by ``max_window_cycles``, so
+        there is no watchdog. Kept for readers of the old report shape
+        (``perfbench/probe.py`` counts attempts with it)."""
+        return 0
 
 
 # ----------------------------------------------------------------------
@@ -290,16 +214,12 @@ class _Chunk:
     lo: int
     hi: int
     key: str
-    checkpoint: Optional[Any]
     max_attempts: int
     attempts: int = 0
     eligible_at: float = 0.0     # monotonic timestamp gating the retry
     last_reason: str = ""
     last_error: str = ""
-    #: set when this chunk was in flight during a pool break; suspects
-    #: are re-run solo so a repeat crash is unambiguously attributable
-    suspect: bool = False
-    #: serial-path retry stash: ``(golden_clone, resume_commit)`` taken
+    #: retry stash: ``(golden_clone, resume_commit)`` taken
     #: at this chunk's start boundary, so a backing-off chunk can be
     #: skipped (letting later chunks advance the live golden core) and
     #: still restart from its own boundary on revisit
@@ -322,32 +242,25 @@ class _Phase:
     phase: str
     records: List[FaultRecord]
     digest: str
-    window_estimate: float       # golden-pass seconds per window
-
-    def task_args(self, chunk: _Chunk) -> Tuple:
-        return ((self.cfg, self.hw, self.benchmark, self.scheme,
-                 self.records, chunk.lo, chunk.hi, chunk.checkpoint),
-                chunk.attempts)
 
 
 # ----------------------------------------------------------------------
 # the supervisor
 # ----------------------------------------------------------------------
 class Supervisor:
-    """Fault-tolerant execution layer over the window-chunk dispatcher.
+    """Fault-tolerant, in-process window-chunk dispatcher.
 
     One instance supervises one campaign (both phases). With *run_dir*
     it journals completed chunks and pickles their results under
     ``run_dir/chunks/``, enabling crash-safe resume; without it the
-    retry/timeout/quarantine machinery still runs, but an interrupted
-    campaign cannot be resumed.
+    retry/quarantine machinery still runs, but an interrupted campaign
+    cannot be resumed.
     """
 
     def __init__(self, policy: Optional[SupervisorPolicy] = None,
                  run_dir: Optional[str | os.PathLike] = None,
-                 jobs: Optional[int] = None, events=None, metrics=None):
+                 events=None, metrics=None):
         self.policy = policy or SupervisorPolicy()
-        self.jobs = max(1, jobs) if jobs is not None else None
         self.events = events if events is not None else NULL_LOG
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.run_dir = pathlib.Path(run_dir) if run_dir else None
@@ -372,16 +285,12 @@ class Supervisor:
             pathlib.Path(".") / ".repro-keys")   # key derivation only
         self.reports: List[PhaseReport] = []
         self.drain = False
-        self._force_serial = False
         self._jitter_salt = 0
         self._last_heartbeat = 0.0
 
     # -- lifecycle -----------------------------------------------------
-    def bind(self, jobs: Optional[int] = None, events=None,
-             metrics=None) -> None:
+    def bind(self, events=None, metrics=None) -> None:
         """Late wiring from the owning ExperimentContext."""
-        if self.jobs is None and jobs is not None:
-            self.jobs = max(1, jobs)
         if events is not None and self.events is NULL_LOG:
             self.events = events
         if metrics is not None and self.metrics is NULL_METRICS:
@@ -453,18 +362,15 @@ class Supervisor:
     def classify_windows(self, cfg, hw, benchmark: str,
                          scheme: Optional[str],
                          records: Sequence[FaultRecord], *, phase: str,
-                         cache=None, ctx=None,
-                         checkpoint_stats=None) -> PhaseReport:
+                         ctx=None) -> PhaseReport:
         """Classify *records* under supervision; positionally identical
         to ``classifier.run(records)`` minus any quarantined windows."""
-        jobs = self.jobs or 1
         records = list(records)
         label = scheme or "baseline"
         phase_ctx = _Phase(cfg=cfg, hw=hw, benchmark=benchmark,
                            scheme=scheme, label=label, phase=phase,
                            records=records,
-                           digest=config_digest(cfg, hw),
-                           window_estimate=0.0)
+                           digest=config_digest(cfg, hw))
         report = PhaseReport(phase=phase, benchmark=benchmark, scheme=label)
         self.reports.append(report)
         if not records:
@@ -477,55 +383,32 @@ class Supervisor:
         report.windows_done = sum(hi - lo for lo, (hi, _) in done.items())
 
         gaps = self._gaps(len(records), done, quarantined)
-        bounds = self._chunk_gaps(gaps, jobs, records)
-        serial = self._runs_serial(jobs)
+        bounds = self._chunk_gaps(gaps, records)
         self._emit("plan", phase_ctx, chunks=len(bounds),
-                   windows=len(records), resumed=report.chunks_resumed,
-                   executor="serial" if serial else "pool")
+                   windows=len(records), resumed=report.chunks_resumed)
         if self.journal is not None:
             self.journal.append({
                 "type": "plan", "phase": phase, "benchmark": benchmark,
                 "scheme": label, "windows": len(records),
                 "bounds": [list(b) for b in bounds],
                 "resumed_chunks": report.chunks_resumed,
-                "config_digest": phase_ctx.digest, "jobs": jobs})
+                "config_digest": phase_ctx.digest})
         # baseline progress sample: a resumed run's monitor restarts ETA
         # estimation from the journal-adopted windows, not from zero
         self._progress(phase_ctx, report)
 
         if bounds:
-            if serial:
-                # the serial dispatcher threads one live golden core
-                # through the chunks — no checkpoint golden pass needed
-                checkpoints: List[Any] = [None] * len(bounds)
-            else:
-                stats = checkpoint_stats
-                if stats is None:
-                    stats = _parallel.CheckpointStats()
-                checkpoints = _parallel.chunk_checkpoints(
-                    cfg, hw, benchmark, scheme, records, bounds,
-                    cache=cache, events=self.events, ctx=ctx,
-                    stats=stats, jobs=jobs)
-                stepped = sum(hi - lo for lo, hi in bounds)
-                phase_ctx.window_estimate = (stats.golden_pass_seconds
-                                             / max(1, stepped))
             chunks = deque(
                 _Chunk(lo, hi, self._chunk_key(phase_ctx, lo, hi),
-                       checkpoint,
                        max_attempts=self.policy.max_retries + 1)
-                for (lo, hi), checkpoint in zip(bounds, checkpoints))
-            if serial:
-                self._run_serial(phase_ctx, chunks, done, quarantined,
-                                 report, ctx=ctx)
-            else:
-                self._run_pool(phase_ctx, chunks, done, quarantined,
-                               report, jobs, ctx=ctx)
+                for lo, hi in bounds)
+            self._run_serial(phase_ctx, chunks, done, quarantined, report,
+                             ctx=ctx)
 
         if report.status == "aborted":
+            self._emit("drain", phase_ctx)
             if self.journal is not None:
                 self.journal.append({"type": "drain", "phase": phase})
-            if self.events.enabled:
-                self.events.absorb_worker_files()
             raise CampaignAborted(phase, self.run_dir)
 
         report.windows = [window for lo in sorted(done)
@@ -542,12 +425,6 @@ class Supervisor:
                    windows=len(report.windows),
                    quarantined=len(report.quarantined))
         return report
-
-    # -- dispatcher selection ------------------------------------------
-    def _runs_serial(self, jobs: int) -> bool:
-        """In-process dispatch for ``jobs == 1``; a forced-serial
-        downshift always wins (the pool has already proven unusable)."""
-        return jobs == 1 or self._force_serial
 
     # -- chunk identity and resume -------------------------------------
     def _chunk_key(self, phase_ctx: _Phase, lo: int, hi: int) -> str:
@@ -626,45 +503,36 @@ class Supervisor:
             gaps.append((cursor, count))
         return gaps
 
-    def _chunk_gaps(self, gaps: List[Tuple[int, int]], jobs: int,
+    def _chunk_gaps(self, gaps: List[Tuple[int, int]],
                     records: Sequence[FaultRecord]) -> List[Tuple[int, int]]:
-        """Split uncovered runs into chunks of ~``chunk_windows`` each
-        (at least *jobs* chunks overall, so the pool stays busy). Cuts
-        are window-aligned per gap: faults sharing an injection commit
-        stay in one chunk (gap edges themselves are fixed — they border
-        windows already done or quarantined)."""
-        total = sum(hi - lo for lo, hi in gaps)
-        if total <= 0:
-            return []
+        """Split uncovered runs into chunks of ~``chunk_windows`` each.
+        Cuts are window-aligned per gap: faults sharing an injection
+        commit stay in one chunk (gap edges themselves are fixed — they
+        border windows already done or quarantined)."""
         per_chunk = max(1, self.policy.chunk_windows)
         bounds: List[Tuple[int, int]] = []
         for lo, hi in gaps:
             span = hi - lo
-            want = math.ceil(span / per_chunk)
-            if len(gaps) == 1:
-                want = max(want, min(jobs, span))
-            bounds.extend((lo + a, lo + b)
-                          for a, b in _parallel.chunk_bounds(span, want))
+            bounds.extend((lo + a, lo + b) for a, b in _parallel.chunk_bounds(
+                span, math.ceil(span / per_chunk)))
         return _parallel.align_chunk_bounds(bounds, records)
 
-    # -- dispatch: serial ----------------------------------------------
+    # -- dispatch ------------------------------------------------------
     def _run_serial(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
                     done, quarantined, report: PhaseReport,
                     ctx=None) -> None:
         """In-process execution threading one live golden core through
         the chunks in window order.
 
-        No checkpoint golden pass and no per-chunk prefix replay: a
-        healthy supervised serial campaign does exactly the simulation
-        work of the plain serial classifier, plus one in-memory
-        ``clone()`` per chunk boundary kept as the rewind point for
-        retries. Same retry/bisect/quarantine semantics as the pool; no
-        watchdog (a single process cannot preempt itself; SIGKILL-grade
-        failures are covered by the journal + resume). A chunk in
-        retry backoff is *skipped*, not slept on: later ready chunks
-        keep dispatching (threading the live golden forward) and the
-        backing-off chunk restarts from its stashed boundary clone
-        (``_Chunk.rewind``) once its ``eligible_at`` deadline passes.
+        No per-chunk prefix replay: a healthy supervised campaign does
+        exactly the simulation work of the plain serial classifier, plus
+        one in-memory ``clone()`` per chunk boundary kept as the rewind
+        point for retries. SIGKILL-grade failures are covered by the
+        journal + resume. A chunk in retry backoff is *skipped*, not
+        slept on: later ready chunks keep dispatching (threading the
+        live golden forward) and the backing-off chunk restarts from its
+        stashed boundary clone (``_Chunk.rewind``) once its
+        ``eligible_at`` deadline passes.
         """
         queue = deque(sorted(chunks, key=lambda c: c.lo))
         if not queue:
@@ -693,19 +561,11 @@ class Supervisor:
                 golden, resume_commit = chunk.rewind
                 position = chunk.lo
                 return golden
-            if golden is not None and position > chunk.lo:
-                # min-lo dispatch makes this unreachable for chunks
-                # without a rewind stash; cold-rebuild if it ever trips
-                golden = None
-            if golden is None:
-                checkpoint = chunk.checkpoint   # downshifted from a pool
-                if (checkpoint is not None
-                        and checkpoint.window_index <= chunk.lo):
-                    golden = checkpoint.restore()
-                    position = checkpoint.window_index
-                    resume_commit = checkpoint.resume_at_commit
-                else:
-                    golden = factory()
+            if golden is None or position > chunk.lo:
+                # min-lo dispatch makes a live golden past the boundary
+                # unreachable for chunks without a rewind stash;
+                # cold-rebuild from window zero if it ever trips
+                golden, position, resume_commit = factory(), 0, 0
             if position < chunk.lo:     # adopted/quarantined gap: golden-
                 campaign.classifier(factory).advance_golden(   # only step
                     golden, records[position:chunk.lo])
@@ -725,7 +585,7 @@ class Supervisor:
                         key=lambda c: c.lo, default=None)
             if chunk is None:
                 wake = min(c.eligible_at for c in queue)
-                time.sleep(min(0.25, max(0.0, wake - now)))
+                wait(min(0.25, max(0.0, wake - now)))
                 continue
             queue.remove(chunk)
             chunk.attempts += 1
@@ -752,276 +612,9 @@ class Supervisor:
             position = chunk.hi
             resume_commit = records[chunk.hi - 1].inject_at_commit
             self._complete(phase_ctx, chunk, windows, done, report)
-            self._maybe_heartbeat(phase_ctx, report, running=0,
-                                  pending=len(queue),
-                                  workers=[os.getpid()])
+            self._maybe_heartbeat(phase_ctx, report, pending=len(queue))
 
-    # -- dispatch: pool ------------------------------------------------
-    def _run_pool(self, phase_ctx: _Phase, chunks: "deque[_Chunk]",
-                  done, quarantined, report: PhaseReport,
-                  jobs: int, ctx=None) -> None:
-        """Pool execution with crash attribution.
-
-        A worker SIGKILL breaks the whole ``ProcessPoolExecutor``: every
-        in-flight future fails with ``BrokenProcessPool`` regardless of
-        which chunk's worker actually died. Charging them all would let
-        one poison window quarantine its innocent neighbours, so blame
-        is resolved by *probing*: when more than one chunk was in flight
-        at break time, nobody is charged and all of them move to a
-        suspect queue that re-runs them one at a time — a crash with a
-        single chunk in flight is unambiguous, and only then does the
-        attempt count toward bisection/quarantine. Jobs are downshifted
-        only when the pool itself cannot be (re)built, never because a
-        chunk crashed it.
-        """
-        pending = deque(sorted(chunks, key=lambda c: c.lo))
-        probe: "deque[_Chunk]" = deque()    # suspects, run one at a time
-        running: Dict[Any, Tuple[_Chunk, float]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        build_failures = 0
-        drain_deadline: Optional[float] = None
-        spool = (self.events.worker_spool() if self.events.enabled
-                 else None)
-        if spool is not None:
-            os.environ[WORKER_DIR_ENV] = spool
-        try:
-            while pending or probe or running:
-                now = time.monotonic()
-                if self.drain:
-                    if drain_deadline is None:
-                        drain_deadline = now + self.policy.drain_grace
-                        self._emit("drain", phase_ctx,
-                                   pending=len(pending) + len(probe),
-                                   running=len(running))
-                    if not running or now > drain_deadline:
-                        report.status = "aborted"
-                        break
-                # (re)build the pool when chunks are waiting
-                if pool is None and (pending or probe) and not self.drain:
-                    pool = self._build_pool(phase_ctx, jobs, report)
-                    if pool is None:
-                        build_failures += 1
-                        if build_failures >= self.policy.pool_break_limit:
-                            build_failures = 0
-                            jobs = self._downshift(phase_ctx, jobs, report,
-                                                   "pool_unavailable")
-                        if self._force_serial:
-                            probe.extend(pending)
-                            self._run_serial(phase_ctx, probe, done,
-                                             quarantined, report, ctx=ctx)
-                            return
-                        time.sleep(0.05)
-                        continue
-                # submit: suspects strictly one at a time (attribution),
-                # otherwise eligible chunks up to the worker count
-                submit_from = probe if probe else pending
-                limit = 1 if probe else jobs
-                while (pool is not None and submit_from and not self.drain
-                       and len(running) < limit and not (probe and running)):
-                    chunk = next((c for c in submit_from
-                                  if c.eligible_at <= now), None)
-                    if chunk is None:
-                        break
-                    submit_from.remove(chunk)
-                    chunk.attempts += 1
-                    try:
-                        future = pool.submit(supervised_chunk_task,
-                                             phase_ctx.task_args(chunk))
-                    except (OSError, RuntimeError) as exc:
-                        # pool died between builds: put the chunk back
-                        # (uncharged) and force a rebuild
-                        chunk.attempts -= 1
-                        submit_from.appendleft(chunk)
-                        self._teardown_pool(pool)
-                        pool = None
-                        build_failures += 1
-                        report.pool_rebuilds += 1
-                        self.metrics.counter(
-                            "supervisor_pool_rebuilds_total").inc()
-                        self._emit("pool_rebuild", phase_ctx,
-                                   error=repr(exc))
-                        if build_failures >= self.policy.pool_break_limit:
-                            build_failures = 0
-                            jobs = self._downshift(phase_ctx, jobs, report,
-                                                   "pool_unavailable")
-                            if self._force_serial:
-                                probe.extend(pending)
-                                self._run_serial(phase_ctx, probe, done,
-                                                 quarantined, report,
-                                                 ctx=ctx)
-                                return
-                        break
-                    deadline = self._deadline(phase_ctx, chunk)
-                    if deadline > 0:
-                        self.metrics.counter(
-                            "supervisor_watchdog_armed_total").inc()
-                    running[future] = (chunk, deadline)
-                if not running:
-                    waiting = list(probe) + list(pending)
-                    if waiting:
-                        wake = min(c.eligible_at for c in waiting)
-                        time.sleep(min(0.25, max(0.0,
-                                                 wake - time.monotonic())))
-                        continue
-                    break
-                self._maybe_heartbeat(
-                    phase_ctx, report, running=len(running),
-                    pending=len(pending) + len(probe),
-                    workers=[proc.pid for proc in
-                             (getattr(pool, "_processes", None)
-                              or {}).values()] if pool is not None else ())
-                completed, _ = wait(list(running), timeout=0.25,
-                                    return_when=FIRST_COMPLETED)
-                crashed: List[_Chunk] = []
-                for future in completed:
-                    chunk, _deadline = running.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        build_failures = 0
-                        self._complete(phase_ctx, chunk, future.result(),
-                                       done, report)
-                    elif isinstance(error, BrokenProcessPool):
-                        crashed.append(chunk)
-                    else:
-                        self._note_failure(phase_ctx, chunk, report,
-                                           "exception",
-                                           self._format_error(error))
-                        self._requeue_or_split(
-                            phase_ctx, chunk,
-                            probe if chunk.suspect else pending,
-                            quarantined, report)
-                now = time.monotonic()
-                timed_out = [future for future, (c, deadline)
-                             in running.items()
-                             if deadline > 0 and now > deadline]
-                if crashed or timed_out:
-                    for future in timed_out:
-                        chunk, _deadline = running.pop(future)
-                        report.timeouts += 1
-                        self.metrics.counter(
-                            "supervisor_watchdog_fired_total").inc()
-                        self._note_failure(phase_ctx, chunk, report,
-                                           "timeout",
-                                           f"exceeded chunk deadline "
-                                           f"after {chunk.attempts} "
-                                           f"attempt(s)")
-                        self._emit("timeout", phase_ctx, lo=chunk.lo,
-                                   hi=chunk.hi, attempt=chunk.attempts)
-                        self._requeue_or_split(
-                            phase_ctx, chunk,
-                            probe if chunk.suspect else pending,
-                            quarantined, report)
-                    leftovers = [chunk for chunk, _deadline
-                                 in running.values()]
-                    running.clear()
-                    if crashed:
-                        # futures still unresolved at break time belong
-                        # to the same suspect group as the ones already
-                        # reporting BrokenProcessPool
-                        group = crashed + leftovers
-                        if len(group) == 1:
-                            # a lone in-flight chunk crashed the pool:
-                            # unambiguous blame, the attempt counts
-                            chunk = group[0]
-                            chunk.suspect = True
-                            self._note_failure(phase_ctx, chunk, report,
-                                               "crash",
-                                               "worker died "
-                                               "(BrokenProcessPool)")
-                            self._requeue_or_split(phase_ctx, chunk,
-                                                   probe, quarantined,
-                                                   report)
-                        else:
-                            # ambiguous: charge nobody, probe everybody
-                            for chunk in group:
-                                chunk.attempts -= 1
-                                chunk.suspect = True
-                                probe.append(chunk)
-                    else:
-                        # timeout-only teardown: bystanders ride again,
-                        # uncharged
-                        for chunk in leftovers:
-                            chunk.attempts -= 1
-                            (probe if chunk.suspect
-                             else pending).appendleft(chunk)
-                    self._teardown_pool(pool)
-                    pool = None
-                    report.pool_rebuilds += 1
-                    self.metrics.counter(
-                        "supervisor_pool_rebuilds_total").inc()
-                    self._emit("pool_rebuild", phase_ctx,
-                               reason="crash" if crashed else "timeout")
-        finally:
-            if pool is not None:
-                self._teardown_pool(pool)
-            if spool is not None:
-                os.environ.pop(WORKER_DIR_ENV, None)
-                self.events.absorb_worker_files()
-
-    # -- pool plumbing -------------------------------------------------
-    def _build_pool(self, phase_ctx: _Phase, workers: int,
-                    report: PhaseReport) -> Optional[ProcessPoolExecutor]:
-        try:
-            return ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=_parallel._mp_context())
-        except (OSError, PermissionError, ValueError):
-            return None
-
-    @staticmethod
-    def _teardown_pool(pool: ProcessPoolExecutor, kill: bool = True) -> None:
-        """Tear a pool down without waiting on stuck workers."""
-        if kill:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except (OSError, AttributeError):
-                    pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:           # Python < 3.9
-            pool.shutdown(wait=False)
-
-    def _downshift(self, phase_ctx: _Phase, current_jobs: int,
-                   report: PhaseReport, reason: str) -> int:
-        """Halve the worker count (degrade to in-process at 1) instead
-        of aborting the campaign."""
-        report.downshifts += 1
-        self.metrics.counter("supervisor_downshifts_total").inc()
-        if current_jobs <= 1:
-            self._force_serial = True
-            self.events.emit("degradation", reason=reason,
-                             jobs_from=current_jobs, jobs_to=0,
-                             detail="falling back to in-process execution")
-            return current_jobs
-        downshifted = max(1, current_jobs // 2)
-        self.events.emit("degradation", reason=reason,
-                         jobs_from=current_jobs, jobs_to=downshifted)
-        return downshifted
-
-    # -- deadlines and backoff -----------------------------------------
-    def _deadline(self, phase_ctx: _Phase, chunk: _Chunk) -> float:
-        """Absolute (monotonic) deadline for this attempt; 0 = none.
-
-        Soft deadline from the golden-pass throughput estimate, hard
-        cap from the policy; retries double the allowance so a slow but
-        healthy chunk is never quarantined by an optimistic estimate.
-        """
-        policy = self.policy
-        soft = hard = None
-        if policy.soft_timeout_factor > 0:
-            soft = max(policy.min_soft_timeout,
-                       policy.soft_timeout_factor
-                       * phase_ctx.window_estimate * chunk.windows)
-        if policy.chunk_timeout is not None and policy.chunk_timeout > 0:
-            hard = policy.chunk_timeout
-        if soft is None and hard is None:
-            return 0.0
-        allowed = min(v for v in (soft, hard) if v is not None)
-        allowed *= 2.0 ** (chunk.attempts - 1)
-        if hard is not None:
-            allowed = min(allowed, hard * 2.0 ** (chunk.attempts - 1))
-        return time.monotonic() + allowed
-
+    # -- backoff -------------------------------------------------------
     def _backoff(self, chunk: _Chunk) -> float:
         """Seconds before *chunk*'s next attempt: exponential in the
         attempt count plus deterministic jitter (no RNG, so a run is
@@ -1029,17 +622,12 @@ class Supervisor:
         policy = self.policy
         delay = policy.backoff_base * 2.0 ** (chunk.attempts - 1)
         self._jitter_salt += 1
-        jitter = _chaos_fraction("backoff", chunk.lo, chunk.hi,
-                                 chunk.attempts, self._jitter_salt)
+        jitter = _jitter_fraction("backoff", chunk.lo, chunk.hi,
+                                  chunk.attempts, self._jitter_salt)
         return min(policy.backoff_max,
                    delay * (1.0 + policy.backoff_jitter * jitter))
 
     # -- outcome handling ----------------------------------------------
-    @staticmethod
-    def _format_error(error: BaseException) -> str:
-        return "".join(traceback.format_exception_only(type(error),
-                                                       error)).strip()
-
     def _emit(self, action: str, phase_ctx: _Phase, **fields: Any) -> None:
         self.events.emit("supervisor", action=action,
                          phase=phase_ctx.phase,
@@ -1055,9 +643,9 @@ class Supervisor:
                             total=report.windows_total)
 
     def _maybe_heartbeat(self, phase_ctx: _Phase, report: PhaseReport,
-                         running: int, pending: int,
-                         workers: Sequence[int] = ()) -> None:
-        """Rate-limited liveness beacon while a fan-out is in flight."""
+                         pending: int) -> None:
+        """Rate-limited liveness beacon while a fan-out is in flight
+        (sent between chunks, so none is running)."""
         interval = self.policy.heartbeat_interval
         if interval <= 0 or not self.events.enabled:
             return
@@ -1067,12 +655,11 @@ class Supervisor:
         self._last_heartbeat = now
         self.events.emit("heartbeat", phase=phase_ctx.phase,
                          benchmark=phase_ctx.benchmark,
-                         scheme=phase_ctx.label, running=running,
-                         pending=pending, workers=list(workers),
+                         scheme=phase_ctx.label, running=0,
+                         pending=pending, workers=[os.getpid()],
                          windows_done=report.windows_done,
                          windows_total=report.windows_total)
-        self.metrics.gauge("supervisor_workers_alive").set(
-            len(workers) or running)
+        self.metrics.gauge("supervisor_workers_alive").set(1)
 
     def _complete(self, phase_ctx: _Phase, chunk: _Chunk,
                   windows: List[WindowResult], done,
@@ -1122,17 +709,14 @@ class Supervisor:
         self._emit("bisect", phase_ctx, lo=chunk.lo, hi=chunk.hi)
         budget = self.policy.bisect_retries + 1
         # the lower half shares the parent's start boundary, so its
-        # serial rewind stash still applies
+        # rewind stash still applies; the upper half is reached by
+        # golden-only stepping from the live core
         pending.append(_Chunk(chunk.lo, mid,
                               self._chunk_key(phase_ctx, chunk.lo, mid),
-                              chunk.checkpoint, max_attempts=budget,
-                              suspect=chunk.suspect, rewind=chunk.rewind))
-        # the upper half loses its boundary checkpoint and falls back to
-        # the golden prefix-replay path inside window_chunk_task
+                              max_attempts=budget, rewind=chunk.rewind))
         pending.append(_Chunk(mid, chunk.hi,
                               self._chunk_key(phase_ctx, mid, chunk.hi),
-                              None, max_attempts=budget,
-                              suspect=chunk.suspect))
+                              max_attempts=budget))
 
     def _quarantine(self, phase_ctx: _Phase, chunk: _Chunk,
                     quarantined: List[QuarantineRecord],
@@ -1210,9 +794,6 @@ def summarize_run_dir(run_dir: str | os.PathLike) -> Dict[str, Any]:
 
 
 __all__ = [
-    "CHAOS_CRASH_RATE_ENV",
-    "CHAOS_HANG_ENV",
-    "CHAOS_POISON_ENV",
     "CampaignAborted",
     "CampaignJournal",
     "EXIT_ABORTED",
@@ -1222,8 +803,6 @@ __all__ = [
     "QuarantineRecord",
     "Supervisor",
     "SupervisorPolicy",
-    "chaos_probe",
     "read_poisoned",
     "summarize_run_dir",
-    "supervised_chunk_task",
 ]

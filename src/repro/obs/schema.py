@@ -31,7 +31,6 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     "span_end": {"span": (str,), "name": (str,), "seconds": _NUMBER},
     "counter": {"name": (str,), "value": _NUMBER},
     "cache": {"kind": (str,), "key": (str,), "hit": (bool,)},
-    "checkpoint": {"action": (str,), "window": (int,)},
     "worker_start": {},
     "worker_merge": {"worker_pid": (int,), "events": (int,)},
     "invariant": {"invariant": (str,), "cycle": (int,), "detail": (str,)},
@@ -45,8 +44,6 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
     },
     # the resilient campaign supervisor's lifecycle trail
     "supervisor": {"action": (str,)},
-    # the harness deliberately reduced capability instead of aborting
-    "degradation": {"reason": (str,)},
     # the artifact cache hit (and dropped or quarantined) an unreadable entry
     "cache_corrupt": {"kind": (str,)},
     # worker event spools left behind by dead workers, swept by the parent
@@ -64,8 +61,6 @@ REQUIRED_FIELDS: Dict[str, Dict[str, tuple]] = {
 OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
     "span_start": {"parent": (str,)},
     "counter": {"attrs": (dict,)},
-    "checkpoint": {"benchmark": (str,), "scheme": (str,),
-                   "bytes": (int,), "committed": (int,), "cycle": (int,)},
     "fault_audit": {"fault_class": (str,), "outcome": (str,),
                     "detection_latency": (int,),
                     "first_trigger_cycle": (int,),
@@ -78,10 +73,7 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
                    "reason": (str,), "error": (str,), "key": (str,),
                    "status": (str,), "chunks": (int,), "windows": (int,),
                    "resumed": (int,), "quarantined": (int,),
-                   "pending": (int,), "running": (int,),
-                   "executor": (str,)},
-    "degradation": {"detail": (str,), "jobs_from": (int,),
-                    "jobs_to": (int,), "phase": (str,)},
+                   "pending": (int,), "running": (int,)},
     "cache_corrupt": {"key": (str,), "path": (str,), "error": (str,),
                       "action": (str,)},
     "orphan_spool": {"action": (str,), "events": (int,)},
@@ -94,14 +86,9 @@ OPTIONAL_FIELDS: Dict[str, Dict[str, tuple]] = {
 #: The recovery labels a ``fault_audit`` event may carry.
 RECOVERY_LABELS = ("rollback", "replay", "singleton", "suppress", "none")
 
-#: The actions a ``checkpoint`` event may carry: the dispatcher either
-#: captured a fresh chunk-boundary checkpoint or reloaded a cached one.
-CHECKPOINT_ACTIONS = ("capture", "hit")
-
 #: The lifecycle actions a ``supervisor`` event may carry.
-SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "timeout",
-                      "pool_rebuild", "bisect", "quarantine", "drain",
-                      "phase_done")
+SUPERVISOR_ACTIONS = ("plan", "chunk_done", "retry", "bisect",
+                      "quarantine", "drain", "phase_done")
 
 #: What the cache did about a corrupt entry.
 CACHE_CORRUPT_ACTIONS = ("dropped", "quarantined")
@@ -145,10 +132,6 @@ def validate_event(event: Any, where: str = "event") -> List[str]:
             and event.get("recovery") not in RECOVERY_LABELS):
         errors.append(f"{where}: fault_audit.recovery "
                       f"{event.get('recovery')!r} not in {RECOVERY_LABELS}")
-    if (event_type == "checkpoint"
-            and event.get("action") not in CHECKPOINT_ACTIONS):
-        errors.append(f"{where}: checkpoint.action "
-                      f"{event.get('action')!r} not in {CHECKPOINT_ACTIONS}")
     if (event_type == "supervisor"
             and event.get("action") not in SUPERVISOR_ACTIONS):
         errors.append(f"{where}: supervisor.action "
@@ -241,7 +224,7 @@ def summarize_events(events: Iterable[dict]) -> Dict[str, Any]:
 
 
 __all__ = ["REQUIRED_FIELDS", "OPTIONAL_FIELDS", "RECOVERY_LABELS",
-           "CHECKPOINT_ACTIONS", "SUPERVISOR_ACTIONS",
+           "SUPERVISOR_ACTIONS",
            "CACHE_CORRUPT_ACTIONS", "ORPHAN_SPOOL_ACTIONS",
            "validate_event", "validate_events",
            "check_spans", "summarize_events"]

@@ -39,7 +39,7 @@ from .audit import aggregates_from_events
 from .metrics import MetricsRegistry
 
 #: ``supervisor`` actions the monitor tallies for the status line.
-_SUPERVISOR_TALLIES = ("retry", "timeout", "pool_rebuild", "bisect")
+_SUPERVISOR_TALLIES = ("retry", "bisect")
 
 #: Snapshot states, from least to most settled.
 STATES = ("unknown", "running", "aborted", "complete-with-quarantine",
@@ -177,8 +177,6 @@ class CampaignStatus:
     aggregates: Dict[str, Any] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
     retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
     resumes: int = 0
     events_seen: int = 0
     journal_records: int = 0
@@ -219,8 +217,6 @@ class CampaignStatus:
             "aggregates": self.aggregates,
             "metrics": self.metrics,
             "supervisor": {"retries": self.retries,
-                           "timeouts": self.timeouts,
-                           "pool_rebuilds": self.pool_rebuilds,
                            "resumes": self.resumes},
             "stream": {"events_seen": self.events_seen,
                        "journal_records": self.journal_records,
@@ -416,8 +412,6 @@ class CampaignMonitor:
             aggregates=aggregates_from_events(self._audits),
             metrics=self._metrics.snapshot(),
             retries=self._tallies["retry"],
-            timeouts=self._tallies["timeout"],
-            pool_rebuilds=self._tallies["pool_rebuild"],
             resumes=self._resumes,
             events_seen=self._events_seen,
             journal_records=self._journal_records,
@@ -469,8 +463,7 @@ def render_status(status: CampaignStatus) -> str:
             if status.throughput else "-")
     lines.append(f"throughput {rate}   eta {_format_eta(status.eta_seconds)}"
                  f"   quarantined {status.quarantined}")
-    lines.append(f"retries {status.retries}   timeouts {status.timeouts}"
-                 f"   pool rebuilds {status.pool_rebuilds}   events "
+    lines.append(f"retries {status.retries}   events "
                  f"{status.events_seen}   journal {status.journal_records}")
     aggregates = status.aggregates
     if aggregates.get("applied"):

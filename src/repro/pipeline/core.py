@@ -398,6 +398,14 @@ class PipelineCore:
         twin.stats.bind_cycle_source(twin)
         return twin
 
+    def __del__(self):
+        # stats handed out by run() may outlive this core: leave them
+        # the final cycle count their weak binding can no longer read
+        stats = self.__dict__.get("stats")
+        cycle = self.__dict__.get("cycle")
+        if stats is not None and cycle is not None:
+            stats.detach_cycle_source(cycle)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         # The SoA view holds numpy mirrors plus a back-reference to this

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Tuple
@@ -17,7 +18,11 @@ class PipelineStats:
     (:meth:`bind_cycle_source`) and the property reads ``core.cycle``
     live, so the hot loop never writes a per-cycle counter. Detached
     stats objects (clones, unpickled checkpoints, hand-built tests) fall
-    back to the materialised ``_cycles`` field.
+    back to the materialised ``_cycles`` field. The binding is a weak
+    reference — a strong one would make every core a reference cycle
+    that only the cyclic GC can free — and a dying core materialises
+    its final count (:meth:`detach_cycle_source`), so stats that
+    outlive their core still report it.
     """
 
     _cycles: int = 0
@@ -60,16 +65,19 @@ class PipelineStats:
     recent_commits: Deque[Tuple[int, int]] = field(
         default_factory=lambda: deque(maxlen=32))
 
-    #: Live cycle source (the owning core), or None when detached. A
-    #: plain class attribute, not a dataclass field: ``replace``-based
-    #: clones and unpickled copies start detached by construction.
+    #: Weak reference to the live cycle source (the owning core), or
+    #: None when detached. A plain class attribute, not a dataclass
+    #: field: ``replace``-based clones and unpickled copies start
+    #: detached by construction.
     _cycle_source = None
 
     @property
     def cycles(self) -> int:
         source = self._cycle_source
         if source is not None:
-            return source.cycle
+            core = source()
+            if core is not None:
+                return core.cycle
         return self._cycles
 
     @cycles.setter
@@ -80,7 +88,13 @@ class PipelineStats:
         """Derive ``cycles`` from *core*.cycle at read time (no per-step
         write). The binding is dropped on pickle and on ``clone`` — both
         materialise the current count first."""
-        self._cycle_source = core
+        self._cycle_source = weakref.ref(core)
+
+    def detach_cycle_source(self, cycle: int) -> None:
+        """Materialise *cycle* (the source's final count) and drop the
+        binding — called by the owning core as it is freed."""
+        self._cycles = cycle
+        self._cycle_source = None
 
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -4,8 +4,8 @@ The contract: the lazy twin is a pure accelerator over the eager
 clone-per-window path. Characterisation windows, coverage results,
 Figure 11 outcomes, audit aggregates and the golden core's own evolution
 (``cycles_elided`` included) are bit-for-bit identical to the eager
-reference — serial, checkpointed-chunk and supervised alike, on every
-profile — and masked faults on free registers never leave dormancy
+reference — plain and supervised alike, on every profile — and masked
+faults on free registers never leave dormancy
 (never pay a clone).
 """
 
@@ -24,8 +24,7 @@ from repro.faults.model import (FaultClass, FaultRecord, FaultSite,
                                 RegStatus)
 from repro.harness.experiment import (SCHEMES, ExperimentConfig,
                                       ExperimentContext)
-from repro.harness.parallel import (align_chunk_bounds, chunk_bounds,
-                                    chunk_checkpoints, window_chunk_task)
+from repro.harness.parallel import align_chunk_bounds, chunk_bounds
 from repro.harness.supervisor import Supervisor, SupervisorPolicy
 from repro.obs.audit import audit_aggregates, audit_records
 from repro.pipeline import CoreCheckpoint
@@ -134,20 +133,7 @@ class TestBatchedEquivalence:
                   if r.site is FaultSite.LSQ)
         assert lazy_stats.fallbacks == lsq
 
-    def test_parallel_chunks_match_scalar_serial(self, eager):
-        ctx = ExperimentContext(_TINY, jobs=3)
-        campaign = ctx.build_campaign("mcf")
-        fresh = [r.fresh_copy() for r in campaign.records]
-        bounds = align_chunk_bounds(chunk_bounds(len(fresh), 3), fresh)
-        checkpoints = chunk_checkpoints(_TINY, ctx.hw, "mcf", None,
-                                        fresh, bounds, ctx=ctx, jobs=3)
-        chunks = ctx._executor.map(window_chunk_task, [
-            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, checkpoint)
-            for (lo, hi), checkpoint in zip(bounds, checkpoints)])
-        windows = [window for chunk in chunks for window in chunk]
-        assert windows == eager[0].characterization
-
-    def test_supervised_pool_matches_scalar_serial(self, eager, tmp_path):
+    def test_supervised_matches_scalar_serial(self, eager, tmp_path):
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),
                          run_dir=tmp_path / "run")
         ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)

@@ -1,28 +1,23 @@
 """Checkpoint/restore subsystem tests.
 
-The tentpole contract: the purpose-built ``clone()`` protocol, the
-pickled :class:`CoreCheckpoint`, and the dispatcher's cached golden pass
-are pure accelerators — serial, checkpointed-serial, parallel and
-warm-cache classification are bit-for-bit identical, and the never-
-rewind contract survives the hand-off.
+The contract: the purpose-built ``clone()`` protocol and the pickled
+:class:`CoreCheckpoint` are pure accelerators — classifying from a
+restored checkpoint is bit-for-bit classifying straight through, and
+the never-rewind contract survives the hand-off.
 """
 
 import copy
-import pathlib
+import gc
 import pickle
-import shutil
+import weakref
 
 import pytest
 
-from repro.faults import CampaignResult
 from repro.faults.model import FaultClass
-from repro.harness import parallel as parallel_module
-from repro.harness.cache import ArtifactCache
 from repro.harness.experiment import ExperimentConfig, ExperimentContext
-from repro.harness.parallel import (CheckpointStats, chunk_bounds,
-                                    chunk_checkpoints, window_chunk_task)
+from repro.harness.parallel import chunk_bounds
 from repro.harness.supervisor import Supervisor
-from repro.pipeline import (CoreCheckpoint, capture_checkpoint,
+from repro.pipeline import (CoreCheckpoint, PipelineCore, capture_checkpoint,
                             restore_checkpoint)
 
 _TINY = ExperimentConfig(benchmarks=("mcf",), dynamic_target=3_000,
@@ -101,6 +96,41 @@ class TestCloneProtocol:
 
 
 # ----------------------------------------------------------------------
+# dead cores are freed by refcount, not left for the cyclic GC
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestRefcountFreeing:
+    def test_dropped_clone_is_freed_without_gc(self, gc_disabled):
+        """A discarded faulty twin (and its memory snapshots) must not
+        wait for the cyclic GC: a core holds no reference cycle."""
+        core = _warm_core()
+        twin = core.clone()
+        ref = weakref.ref(twin)
+        del twin
+        assert ref() is None
+
+    def test_run_stats_outlive_their_core(self, gc_disabled):
+        """``run()`` returns the core's stats; with the core itself
+        unreferenced they still report its final cycle count."""
+        programs = ExperimentContext(_TINY, jobs=1).programs("mcf")
+        kept = PipelineCore(programs)
+        kept.run(max_cycles=2_500)
+        stats = PipelineCore(programs).run(max_cycles=2_500)
+        assert stats.cycles == kept.cycle
+        assert stats.committed == kept.stats.committed
+        assert stats.ipc == kept.stats.ipc
+
+
+# ----------------------------------------------------------------------
 # CoreCheckpoint capture / restore
 # ----------------------------------------------------------------------
 class TestCoreCheckpoint:
@@ -131,7 +161,7 @@ class TestCoreCheckpoint:
         assert second.cycle == checkpoint.cycle
 
     def test_checkpoint_survives_pickling(self):
-        # The cache and the pool both ship checkpoints by pickle.
+        # Checkpoints travel by pickle (the artifact cache stores them).
         core = _warm_core()
         checkpoint = CoreCheckpoint.capture(core, window_index=2,
                                             resume_at_commit=300)
@@ -173,15 +203,26 @@ class TestNeverRewind:
                            resume_at_commit=behind[0].inject_at_commit + 1)
 
     def test_restored_checkpoint_carries_resume_coordinate(self):
+        """A checkpoint captured at a window boundary carries the commit
+        the golden core stopped at, and classifying the remaining
+        windows from its restore matches the straight-through run."""
         campaign, classifier = self._classifier()
-        bounds = chunk_bounds(len(campaign.records), 2)
-        checkpoints = parallel_module.chunk_checkpoints(
-            _TINY, ExperimentContext(_TINY, jobs=1).hw, "mcf", None,
-            campaign.records, bounds)
-        lo = bounds[1][0]
-        assert checkpoints[0].resume_at_commit == 0
-        assert (checkpoints[1].resume_at_commit
-                == campaign.records[lo - 1].inject_at_commit)
+        records = campaign.records
+        serial = classifier.run([r.fresh_copy() for r in records])
+        lo = chunk_bounds(len(records), 2)[1][0]
+        golden = campaign.baseline_factory()
+        classifier.advance_golden(golden, records[:lo])
+        checkpoint = CoreCheckpoint.capture(
+            golden, window_index=lo,
+            resume_at_commit=records[lo - 1].inject_at_commit)
+        restored = pickle.loads(pickle.dumps(checkpoint))
+        assert restored.window_index == lo
+        assert (restored.resume_at_commit
+                == records[lo - 1].inject_at_commit)
+        tail = classifier.run([r.fresh_copy() for r in records[lo:]],
+                              golden=restored.restore(),
+                              resume_at_commit=restored.resume_at_commit)
+        assert tail == serial[lo:]
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +254,7 @@ class TestFreshCopy:
 
 
 # ----------------------------------------------------------------------
-# chunk plumbing edge cases and ordering
+# chunk plumbing edge cases
 # ----------------------------------------------------------------------
 class TestChunkEdges:
     def test_zero_count_yields_no_chunks(self):
@@ -228,140 +269,6 @@ class TestChunkEdges:
 
     def test_empty_records_classify_to_nothing(self):
         ctx = ExperimentContext(_TINY, jobs=2)
-        report = Supervisor(jobs=2).classify_windows(
+        report = Supervisor().classify_windows(
             _TINY, ctx.hw, "mcf", None, [], phase="characterize", ctx=ctx)
         assert report.windows == []
-
-
-class TestChunkOrdering:
-    @pytest.fixture(scope="class")
-    def serial_windows(self):
-        ctx = ExperimentContext(_TINY, jobs=1)
-        campaign = ctx.build_campaign("mcf")
-        classifier = campaign.classifier(campaign.baseline_factory)
-        return campaign.records, classifier.run(
-            [r.fresh_copy() for r in campaign.records])
-
-    def test_chunk_tasks_match_serial_order(self, serial_windows):
-        # Prefix-replay (checkpoint None) and checkpointed tasks must
-        # both reproduce the serial classification, in order.
-        records, serial = serial_windows
-        ctx = ExperimentContext(_TINY, jobs=1)
-        fresh = [r.fresh_copy() for r in records]
-        bounds = chunk_bounds(len(fresh), 3)
-        replayed = [w for lo, hi in bounds for w in window_chunk_task(
-            (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, None))]
-        assert replayed == serial
-
-        fresh = [r.fresh_copy() for r in records]
-        checkpoints = parallel_module.chunk_checkpoints(
-            _TINY, ctx.hw, "mcf", None, fresh, bounds)
-        shipped = [w for (lo, hi), cp in zip(bounds, checkpoints)
-                   for w in window_chunk_task(
-                       (_TINY, ctx.hw, "mcf", None, fresh, lo, hi, cp))]
-        assert shipped == serial
-
-
-# ----------------------------------------------------------------------
-# the acceptance bar: four paths, one answer
-# ----------------------------------------------------------------------
-def _char_signature(result):
-    return [(w.record, w.applied, w.fault_class, w.state_equal,
-             w.extra_exceptions, w.hung, w.replays, w.rollbacks,
-             w.singletons, w.declared, w.suppressions, w.triggers,
-             w.inject_cycle, w.first_trigger_cycle, w.detection_latency)
-            for w in result.characterization]
-
-
-def _cov_signature(result):
-    return (result.coverage_results,
-            {index: outcome.value
-             for index, outcome in result.outcomes.items()},
-            result.coverage)
-
-
-class TestFourPathEquivalence:
-    @pytest.fixture(scope="class")
-    def serial(self):
-        ctx = ExperimentContext(_TINY, jobs=1)
-        _, characterization = ctx.campaign("mcf")
-        return characterization, ctx.coverage("mcf", "faulthound")
-
-    def test_parallel_checkpointed_and_warm_cache(self, serial, tmp_path):
-        serial_char, serial_cov = serial
-        cache = ArtifactCache(tmp_path)
-
-        # cold: parallel dispatcher captures checkpoints, persists them
-        cold = ExperimentContext(_TINY, jobs=3, cache=cache)
-        _, cold_char = cold.campaign("mcf")
-        cold_cov = cold.coverage("mcf", "faulthound")
-        assert cold_char.throughput.checkpoints_captured > 0
-        assert cold_char.throughput.checkpoint_hits == 0
-        assert cold_char.throughput.golden_pass_seconds > 0
-
-        # warm: drop the campaign artefacts but keep the checkpoints, so
-        # classification re-runs with zero golden stepping
-        for kind in ("characterize", "coverage"):
-            shutil.rmtree(pathlib.Path(tmp_path) / kind)
-        warm = ExperimentContext(_TINY, jobs=3, cache=ArtifactCache(tmp_path))
-        _, warm_char = warm.campaign("mcf")
-        warm_cov = warm.coverage("mcf", "faulthound")
-        assert warm_char.throughput.checkpoint_hits > 0
-        assert warm_char.throughput.checkpoints_captured == 0
-
-        # checkpointed-serial: classify straight from a restored boundary
-        ctx = ExperimentContext(_TINY, jobs=1)
-        campaign = ctx.build_campaign("mcf")
-        records = [r.fresh_copy() for r in campaign.records]
-        bounds = chunk_bounds(len(records), 3)
-        checkpoints = parallel_module.chunk_checkpoints(
-            _TINY, ctx.hw, "mcf", None, records, bounds)
-        classifier = campaign.classifier(campaign.baseline_factory)
-        resumed = []
-        for (lo, hi), checkpoint in zip(bounds, checkpoints):
-            resumed.extend(classifier.run(
-                records[lo:hi], golden=checkpoint.restore(),
-                resume_at_commit=checkpoint.resume_at_commit))
-        resumed_char = CampaignResult("mcf", "baseline",
-                                      [w.record for w in resumed])
-        resumed_char.characterization = resumed
-
-        want = _char_signature(serial_char)
-        assert _char_signature(cold_char) == want
-        assert _char_signature(warm_char) == want
-        assert _char_signature(resumed_char) == want
-        assert _cov_signature(cold_cov) == _cov_signature(serial_cov)
-        assert _cov_signature(warm_cov) == _cov_signature(serial_cov)
-
-        # the audit trail's aggregates agree across every path too
-        from repro.obs.audit import audit_records
-
-        def audit(result, phase):
-            return [r.as_event() for r in audit_records(result, phase)]
-
-        want_audit = audit(serial_char, "characterize")
-        assert audit(cold_char, "characterize") == want_audit
-        assert audit(warm_char, "characterize") == want_audit
-        assert audit(resumed_char, "characterize") == want_audit
-        assert (audit(cold_cov, "coverage")
-                == audit(serial_cov, "coverage"))
-        assert (audit(warm_cov, "coverage")
-                == audit(serial_cov, "coverage"))
-
-    def test_checkpoint_cache_stats_flow_into_metrics(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        ctx = ExperimentContext(_TINY, jobs=2, cache=cache)
-        stats = CheckpointStats()
-        campaign = ctx.build_campaign("mcf")
-        bounds = chunk_bounds(len(campaign.records), 2)
-        chunk_checkpoints(_TINY, ctx.hw, "mcf", None, campaign.records,
-                          bounds, cache=cache, ctx=ctx, stats=stats,
-                          jobs=2)
-        assert stats.captured == len(chunk_bounds(len(campaign.records), 2))
-        assert stats.hits == 0
-        rerun = CheckpointStats()
-        chunk_checkpoints(_TINY, ctx.hw, "mcf", None, campaign.records,
-                          bounds, cache=cache, ctx=ctx, stats=rerun,
-                          jobs=2)
-        assert rerun.captured == 0
-        assert rerun.hits == stats.captured

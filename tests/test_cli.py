@@ -91,8 +91,6 @@ _OUT_OF_RANGE = [
     ("--chunk-windows", "0", ">= 1"),
     ("--jobs", "0", ">= 1"),
     ("--max-retries", "-1", ">= 0"),
-    ("--chunk-timeout", "0", "> 0"),
-    ("--chunk-timeout", "-2.5", "> 0"),
 ]
 
 
@@ -250,6 +248,27 @@ def test_supervised_campaign_cli_roundtrip(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "resume", str(run_dir))
     assert code == 0
     assert out == first
+
+
+def test_resume_ignores_recorded_chunk_timeout(tmp_path, capsys):
+    """A run dir from a version with a per-chunk watchdog may record a
+    ``chunk_timeout``; resume ignores it — even one no window could
+    meet — and finishes the campaign with nothing quarantined."""
+    run_dir = tmp_path / "run"
+    code, out, _ = run_cli(capsys, "campaign", "mcf", "--faults", "4",
+                           "--jobs", "1", "--no-cache",
+                           "--run-dir", str(run_dir))
+    assert code == 0
+    first = out
+    manifest = run_dir / "campaign.json"
+    saved = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(dict(saved, chunk_timeout=1e-6)))
+    # drop the progress so resume has every window left to classify
+    (run_dir / "journal.jsonl").unlink()
+    code, out, err = run_cli(capsys, "resume", str(run_dir))
+    assert code == 0, err
+    assert out == first
+    assert not (run_dir / "poisoned.jsonl").exists()
 
 
 def test_run_dir_defaults_event_log_into_it(tmp_path, capsys,

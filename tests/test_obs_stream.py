@@ -138,7 +138,7 @@ class TestMonitorFolding:
              "resumed_chunks": 0},
             {"type": "quarantine", "phase": "characterize", "index": 2,
              "scheme": "baseline", "site": "regfile", "bit": 3,
-             "reason": "timeout", "attempts": 4},
+             "reason": "exception", "attempts": 4},
             {"type": "phase_done", "phase": "characterize",
              "status": "complete-with-quarantine", "windows": 3,
              "quarantined": 1},
@@ -178,13 +178,11 @@ class TestMonitorFolding:
              "phase": "characterize", "running": 2, "pending": 3,
              "workers": [41, 42]},
             {"ts": 3.0, "type": "supervisor", "pid": 1, "action": "retry"},
-            {"ts": 4.0, "type": "supervisor", "pid": 1,
-             "action": "timeout"},
+            {"ts": 4.0, "type": "supervisor", "pid": 1, "action": "retry"},
         ])
         status = CampaignMonitor(tmp_path).poll()
         assert status.workers == {41: 2.0, 42: 2.0}
-        assert status.retries == 1
-        assert status.timeouts == 1
+        assert status.retries == 2
         assert status.state == "running"
 
     def test_metrics_events_merge_across_polls(self, tmp_path):

@@ -112,14 +112,19 @@ class TestValidation:
             compile_spec(_src(defaults={"benchmark": "mcf",
                                         "batch_lanes": 4}))
 
+    def test_chunk_timeout_is_an_unknown_field(self):
+        # windows classify in-process, bounded by max_window_cycles:
+        # there is no per-chunk watchdog to configure
+        with pytest.raises(SpecError,
+                           match="unknown task field 'chunk_timeout'"):
+            compile_spec(_src(defaults={"benchmark": "mcf",
+                                        "chunk_timeout": 2.5}))
+
     def test_numeric_bounds(self):
         with pytest.raises(SpecError, match="faults"):
             compile_spec(_src(defaults={"benchmark": "mcf", "faults": 0}))
         with pytest.raises(SpecError, match="jobs"):
             compile_spec(_src(defaults={"benchmark": "mcf", "jobs": 0}))
-        with pytest.raises(SpecError, match="chunk_timeout"):
-            compile_spec(_src(defaults={"benchmark": "mcf",
-                                        "chunk_timeout": -1}))
 
     def test_unknown_fields_rejected_everywhere(self):
         with pytest.raises(SpecError, match="bogus"):
@@ -151,7 +156,7 @@ class TestTaskArgv:
     def test_every_knob_is_explicit(self):
         run = compile_spec(_src(defaults={
             "benchmark": "mcf", "faults": 5, "chunk_windows": 2,
-            "no_cache": True, "chunk_timeout": 2.5, "jobs": 3}))
+            "no_cache": True, "jobs": 3}))
         argv = task_argv(run["tasks"][0], run_dir="/r")
         text = " ".join(argv)
         assert argv[0] == "campaign" and argv[1] == "mcf"
@@ -162,7 +167,6 @@ class TestTaskArgv:
                          run_dir="/r") == argv
         assert "--jobs 3" in text
         assert "--no-cache" in text
-        assert "--chunk-timeout 2.5" in text
         assert "--run-dir /r" in text
 
     def test_jobs_override_wins_over_task_jobs(self):

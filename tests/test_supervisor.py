@@ -1,16 +1,15 @@
 """Tests for the resilient campaign supervisor.
 
 The contract under test: supervision is a pure reliability layer — on a
-healthy machine the supervised serial, supervised pool, crash-retried
-and resumed-after-SIGKILL paths all yield bit-for-bit the results of the
-plain serial classifier, and a deterministically poisonous window is
-bisected and quarantined without taking its neighbours down with it.
+healthy machine the supervised, retried and resumed-after-SIGKILL paths
+all yield bit-for-bit the results of the plain serial classifier, at
+any ``jobs``, and a deterministically poisonous window is bisected and
+quarantined without taking its neighbours down with it.
 
-Worker chaos is injected through the ``REPRO_CHAOS_*`` environment
-variables read by :func:`repro.harness.supervisor.chaos_probe`, which
-runs only inside pool workers (never in-process), so the injected
-SIGKILLs exercise exactly the `BrokenProcessPool` machinery a real
-worker death would.
+Failures are injected by monkeypatching ``TandemClassifier.run`` to
+raise: every window classifies in-process, so an exception is the
+failure the supervisor sees (a process death is covered by the journal
+and ``repro resume``, exercised end to end at the bottom).
 """
 
 import json
@@ -28,7 +27,7 @@ from repro.harness import (ExperimentConfig, ExperimentContext, Supervisor,
 from repro.harness import parallel as _parallel
 from repro.harness.supervisor import (CampaignAborted, CampaignJournal,
                                       EXIT_ABORTED, EXIT_QUARANTINE,
-                                      _Chunk, _chaos_indices)
+                                      _Chunk)
 
 # geometry matching `repro campaign mcf --faults 10`: produces a small
 # but non-empty SDC set, so the coverage phase is exercised for real
@@ -55,39 +54,15 @@ def serial_reference():
 # dispatcher selection
 # ----------------------------------------------------------------------
 class TestSelection:
-    @pytest.fixture
-    def dispatched(self, monkeypatch):
-        """Run one characterisation fan-out with both dispatchers
-        stubbed out; returns the name of the one that was called."""
+    def test_jobs_1_selects_serial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(Supervisor, "_run_serial",
                             lambda self, *a, **k: calls.append("serial"))
-        monkeypatch.setattr(Supervisor, "_run_pool",
-                            lambda self, *a, **k: calls.append("pool"))
-        monkeypatch.setattr(_parallel, "chunk_checkpoints",
-                            lambda *a, **k: [None] * len(a[5]))
-
-        def run(sup):
-            ctx = ExperimentContext(_TINY, jobs=1)
-            records = ctx.build_campaign("mcf").records
-            sup.classify_windows(_TINY, ctx.hw, "mcf", None, records,
-                                 phase="characterize")
-            return calls.pop()
-        return run
-
-    def test_jobs_1_selects_serial(self, dispatched):
-        assert Supervisor(jobs=1)._runs_serial(1)
-        assert dispatched(Supervisor(jobs=1)) == "serial"
-
-    def test_jobs_many_selects_pool(self, dispatched):
-        assert not Supervisor(jobs=4)._runs_serial(4)
-        assert dispatched(Supervisor(jobs=4)) == "pool"
-
-    def test_force_serial_overrides_jobs(self, dispatched):
-        sup = Supervisor(jobs=4)
-        sup._force_serial = True
-        assert sup._runs_serial(4)
-        assert dispatched(sup) == "serial"
+        ctx = ExperimentContext(_TINY, jobs=1)
+        records = ctx.build_campaign("mcf").records
+        Supervisor().classify_windows(_TINY, ctx.hw, "mcf", None, records,
+                                      phase="characterize", ctx=ctx)
+        assert calls == ["serial"]
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +72,7 @@ class TestBackoff:
     @staticmethod
     def _delays(policy, attempts, lo=0):
         sup = Supervisor(policy)
-        chunk = _Chunk(lo, lo + 4, "key", None, max_attempts=99)
+        chunk = _Chunk(lo, lo + 4, "key", max_attempts=99)
         delays = []
         for attempt in attempts:
             chunk.attempts = attempt
@@ -156,8 +131,19 @@ class TestSupervisedEquivalence:
         assert coverage.coverage_results == s_cov.coverage_results
         assert sup.status == "complete" and sup.exit_code == 0
 
-    def test_supervised_pool_matches_serial(self, serial_reference,
-                                            tmp_path):
+    def test_jobs_3_classifies_in_process(self, serial_reference,
+                                          tmp_path, monkeypatch):
+        """``jobs`` sizes artefact-level fan-out only: a ``jobs=3``
+        campaign classifies its windows in-process — no process pool,
+        no checkpoint golden pass — and matches the serial reference."""
+        import multiprocessing.pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        def no_pool(self, *args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
         s_char, s_cov = serial_reference
         sup = Supervisor(SupervisorPolicy(chunk_windows=3),
                          run_dir=tmp_path / "run")
@@ -165,6 +151,7 @@ class TestSupervisedEquivalence:
         _, characterization = ctx.campaign("mcf")
         coverage = ctx.coverage("mcf", "faulthound")
         sup.close()
+        assert "checkpoint:golden_pass" not in ctx.events.span_seconds
         assert characterization.characterization == s_char.characterization
         assert coverage.coverage_results == s_cov.coverage_results
         assert sup.status == "complete" and sup.exit_code == 0
@@ -178,20 +165,32 @@ class TestSupervisedEquivalence:
 
     def test_transient_crashes_retried_to_convergence(
             self, serial_reference, monkeypatch):
-        """Random worker SIGKILLs are retried (on rebuilt pools) until
-        every chunk lands; nobody is quarantined, results identical."""
+        """Chunks that fail transiently are retried (from their rewind
+        clones) until every chunk lands; nobody is quarantined, results
+        identical."""
+        from repro.faults.classifier import TandemClassifier
         s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_CRASH_RATE", "0.3")
-        sup = Supervisor(SupervisorPolicy(max_retries=6, chunk_windows=2,
+        real_run = TandemClassifier.run
+        attempts = {}
+
+        def flaky(self, records, **kwargs):
+            key = (records[0].index, len(records))
+            attempts[key] = attempts.get(key, 0) + 1
+            if attempts[key] <= 2:          # the first two attempts fail
+                raise RuntimeError("injected transient failure")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", flaky)
+        sup = Supervisor(SupervisorPolicy(max_retries=3, chunk_windows=2,
                                           **_FAST_BACKOFF))
         ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
         _, characterization = ctx.campaign("mcf")
         assert characterization.characterization == s_char.characterization
         assert sup.status == "complete"
         assert not sup.quarantined
-        retries = sum(r.retries for r in sup.reports)
-        rebuilds = sum(r.pool_rebuilds for r in sup.reports)
-        assert retries > 0 or rebuilds > 0
+        (report,) = sup.reports
+        assert report.chunks_run == len(attempts)
+        assert report.retries == 2 * report.chunks_run
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +241,19 @@ class TestSerialBackoff:
 class TestQuarantine:
     def test_poison_window_quarantined_alone(self, serial_reference,
                                              monkeypatch, tmp_path):
-        """A deterministically crashing window is bisected down and
-        quarantined; its innocent pool-mates all complete bit-for-bit."""
+        """A deterministically failing window is bisected down and
+        quarantined; its innocent chunk-mates all complete bit-for-bit."""
+        from repro.faults.classifier import TandemClassifier
         s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_POISON", "baseline:4")
+        poison = s_char.characterization[4].record.index
+        real_run = TandemClassifier.run
+
+        def poisoned(self, records, **kwargs):
+            if any(record.index == poison for record in records):
+                raise RuntimeError("injected deterministic poison")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", poisoned)
         run_dir = tmp_path / "run"
         sup = Supervisor(SupervisorPolicy(max_retries=1, chunk_windows=3,
                                           **_FAST_BACKOFF),
@@ -256,52 +264,45 @@ class TestQuarantine:
         assert sup.status == "complete-with-quarantine"
         assert sup.exit_code == EXIT_QUARANTINE
         assert [q.index for q in sup.quarantined] == [4]
-        assert sup.quarantined[0].reason == "crash"
+        assert sup.quarantined[0].reason == "exception"
         expected = [w for i, w in enumerate(s_char.characterization)
                     if i != 4]
         assert characterization.characterization == expected
         assert characterization.quarantined == sup.quarantined
         assert characterization.throughput.quarantined == 1
         # the quarantine is journalled and in poisoned.jsonl
-        poisoned = read_poisoned(run_dir)
-        assert len(poisoned) == 1 and poisoned[0]["index"] == 4
+        poisoned_records = read_poisoned(run_dir)
+        assert len(poisoned_records) == 1
+        assert poisoned_records[0]["index"] == 4
         assert '"index": 4' in (run_dir / "poisoned.jsonl").read_text()
         summary = summarize_run_dir(run_dir)
         assert summary["poisoned"] == 1
         assert summary["poisoned_windows"][0]["index"] == 4
 
-    def test_hung_window_times_out_and_quarantines(self, serial_reference,
-                                                   monkeypatch, tmp_path):
-        """A worker that never returns trips the hard watchdog deadline
-        instead of wedging the campaign."""
-        s_char, _ = serial_reference
-        monkeypatch.setenv("REPRO_CHAOS_HANG", "baseline:2")
-        sup = Supervisor(SupervisorPolicy(max_retries=1, bisect_retries=0,
-                                          chunk_windows=3,
-                                          chunk_timeout=1.5,
-                                          soft_timeout_factor=0.0,
-                                          **_FAST_BACKOFF),
-                         run_dir=tmp_path / "run")
-        ctx = ExperimentContext(_TINY, jobs=3, supervisor=sup)
-        _, characterization = ctx.campaign("mcf")
-        sup.close()
-        assert sup.status == "complete-with-quarantine"
-        assert [q.index for q in sup.quarantined] == [2]
-        assert sup.quarantined[0].reason == "timeout"
-        assert sum(r.timeouts for r in sup.reports) > 0
-        expected = [w for i, w in enumerate(s_char.characterization)
-                    if i != 2]
-        assert characterization.characterization == expected
+    def test_quarantined_phase_never_caches_partial_results(
+            self, monkeypatch, tmp_path):
+        """A phase that quarantined a window must not publish its
+        reduced result to the artifact cache."""
+        from repro.faults.classifier import TandemClassifier
+        from repro.harness import ArtifactCache
+        real_run = TandemClassifier.run
 
-    def test_chaos_index_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_POISON",
-                           "baseline:4, faulthound:2, 7")
-        var = "REPRO_CHAOS_POISON"
-        assert _chaos_indices(var, "baseline") == [4, 7]
-        assert _chaos_indices(var, "faulthound") == [2, 7]
-        assert _chaos_indices(var, "pbfs") == [7]
-        monkeypatch.delenv("REPRO_CHAOS_POISON")
-        assert _chaos_indices(var, "baseline") == []
+        def poisoned(self, records, **kwargs):
+            if any(record.index == 0 for record in records):
+                raise RuntimeError("injected deterministic poison")
+            return real_run(self, records, **kwargs)
+
+        monkeypatch.setattr(TandemClassifier, "run", poisoned)
+        cache = ArtifactCache(tmp_path / "cache")
+        sup = Supervisor(SupervisorPolicy(max_retries=1, chunk_windows=3,
+                                          **_FAST_BACKOFF))
+        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
+                                cache=cache)
+        _, characterization = ctx.campaign("mcf")
+        assert sup.status == "complete-with-quarantine"
+        assert [q.index for q in sup.quarantined] == [0]
+        assert characterization.quarantined == sup.quarantined
+        assert not list((tmp_path / "cache").rglob("characterize/*.pkl"))
 
     def test_prefetch_worker_quarantine_is_reported_not_cached(
             self, monkeypatch, tmp_path):
@@ -341,109 +342,6 @@ class TestQuarantine:
             assert len(coverage.coverage_results) == len(sdc) - 1
         assert list((tmp_path / "cache").rglob("characterize/*.pkl"))
         assert not list((tmp_path / "cache").rglob("coverage/*.pkl"))
-
-
-# ----------------------------------------------------------------------
-# graceful degradation: the downshift ladder
-# ----------------------------------------------------------------------
-class TestDownshiftLadder:
-    def test_build_failure_walks_8_4_2_1_inprocess(
-            self, serial_reference, monkeypatch, tmp_path):
-        """When the pool cannot be built at all, the supervisor halves
-        the worker count step by step (8 -> 4 -> 2 -> 1) and finally
-        degrades to in-process execution — emitting a ``degradation``
-        event at every rung — instead of aborting, and the results are
-        still bit-for-bit the serial reference."""
-        from repro.obs import EventLog, read_events
-        s_char, _ = serial_reference
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: None)
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          chunk_windows=3,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=8, supervisor=sup,
-                                events=events)
-        _, characterization = ctx.campaign("mcf")
-        events.close()
-        assert characterization.characterization == s_char.characterization
-        assert sup.status == "complete"
-        assert not sup.quarantined
-        assert sup._force_serial
-        ladder = [(e["jobs_from"], e["jobs_to"])
-                  for e in read_events(events_path)
-                  if e.get("type") == "degradation"]
-        assert ladder == [(8, 4), (4, 2), (2, 1), (1, 0)]
-        assert sum(r.downshifts for r in sup.reports) == 4
-
-    def test_submit_failure_downshifts_without_charging_chunks(
-            self, serial_reference, monkeypatch, tmp_path):
-        """A pool that builds but whose ``submit`` raises walks the
-        same ladder through the rebuild path; the failed submissions
-        never charge chunk attempts, so nothing is quarantined."""
-        from repro.obs import EventLog, read_events
-
-        class _BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise OSError("injected submit failure")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        s_char, _ = serial_reference
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: _BrokenPool())
-        events_path = tmp_path / "events.jsonl"
-        events = EventLog(events_path)
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          chunk_windows=3, max_retries=1,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=4, supervisor=sup,
-                                events=events)
-        _, characterization = ctx.campaign("mcf")
-        events.close()
-        assert characterization.characterization == s_char.characterization
-        assert sup.status == "complete"
-        assert not sup.quarantined
-        assert sup._force_serial
-        ladder = [(e["jobs_from"], e["jobs_to"])
-                  for e in read_events(events_path)
-                  if e.get("type") == "degradation"]
-        assert ladder == [(4, 2), (2, 1), (1, 0)]
-        assert sum(r.pool_rebuilds for r in sup.reports) >= 3
-
-    def test_degraded_path_never_caches_partial_results(
-            self, serial_reference, monkeypatch, tmp_path):
-        """The in-process fallback honours the no-partial-caching rule:
-        a phase that quarantined a window on the degraded path must not
-        publish its reduced result to the artifact cache."""
-        from repro.faults.classifier import TandemClassifier
-        from repro.harness import ArtifactCache
-        monkeypatch.setattr(
-            Supervisor, "_build_pool",
-            lambda self, phase_ctx, workers, report: None)
-        real_run = TandemClassifier.run
-
-        def poisoned(self, records, **kwargs):
-            if any(record.index == 0 for record in records):
-                raise RuntimeError("injected deterministic poison")
-            return real_run(self, records, **kwargs)
-
-        monkeypatch.setattr(TandemClassifier, "run", poisoned)
-        cache = ArtifactCache(tmp_path / "cache")
-        sup = Supervisor(SupervisorPolicy(pool_break_limit=1,
-                                          max_retries=1, chunk_windows=3,
-                                          **_FAST_BACKOFF))
-        ctx = ExperimentContext(_TINY, jobs=2, supervisor=sup,
-                                cache=cache)
-        _, characterization = ctx.campaign("mcf")
-        assert sup.status == "complete-with-quarantine"
-        assert [q.index for q in sup.quarantined] == [0]
-        assert characterization.quarantined == sup.quarantined
-        assert not list((tmp_path / "cache").rglob("characterize/*.pkl"))
 
 
 # ----------------------------------------------------------------------
